@@ -42,6 +42,18 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid or unsatisfiable."""
 
 
+def _object(d: object, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _required(d: object, key: str, what: str):
+    if key not in _object(d, what):
+        raise ConfigError(f"{what} {d} is missing the required key {key!r}")
+    return d[key]
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Seeded recipe for one graph instance."""
@@ -87,9 +99,9 @@ class InstanceSpec:
     @classmethod
     def from_dict(cls, d: dict) -> InstanceSpec:
         return cls(
-            kind=d["kind"],
-            n=int(d["n"]),
-            seed=int(d["seed"]),
+            kind=_required(d, "kind", "instance"),
+            n=int(_required(d, "n", "instance")),
+            seed=int(_required(d, "seed", "instance")),
             degree=d.get("degree"),
             prob=d.get("prob"),
         )
@@ -151,7 +163,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> ExperimentConfig:
-        opt = d.get("optimizer") or {}
+        _object(d, "config")
+        opt = _object(d.get("optimizer") or {}, "optimizer")
         bounds = d.get("bounds")
         return cls(
             instances=tuple(InstanceSpec.from_dict(s) for s in d.get("instances", [])),
@@ -169,10 +182,10 @@ class ExperimentConfig:
             bounds=None
             if bounds is None
             else Bounds(
-                gamma_min=float(bounds["gamma_min"]),
-                gamma_max=float(bounds["gamma_max"]),
-                beta_min=float(bounds["beta_min"]),
-                beta_max=float(bounds["beta_max"]),
+                gamma_min=float(_required(bounds, "gamma_min", "bounds")),
+                gamma_max=float(_required(bounds, "gamma_max", "bounds")),
+                beta_min=float(_required(bounds, "beta_min", "bounds")),
+                beta_max=float(_required(bounds, "beta_max", "bounds")),
             ),
             symmetry_samples=int(d.get("symmetry_samples", 0)),
         )

@@ -99,21 +99,13 @@ class OptResult:
 class OptimizationError(RuntimeError):
     """The objective returned a non-finite value.
 
-    `partial` holds the best feasible point seen before the failure as an
-    OptResult (None when no finite value was observed); `nfev` counts the
-    objective calls made up to and including the failing one.
+    `nfev` counts the objective calls made up to and including the failing
+    one; `best_x` and `best_f` are the best feasible flat point seen before
+    the failure and its value (None and -inf when no finite value was seen).
     """
 
-    def __init__(
-        self,
-        message: str,
-        partial: OptResult | None = None,
-        nfev: int = 0,
-        best_x: np.ndarray | None = None,
-        best_f: float = -math.inf,
-    ):
+    def __init__(self, message: str, nfev: int, best_x: np.ndarray | None, best_f: float):
         super().__init__(message)
-        self.partial = partial
         self.nfev = nfev
         self.best_x = best_x
         self.best_f = best_f
@@ -132,17 +124,16 @@ class _CountedObjective:
         self.nfev += 1
         value = float(self._fun(x))
         if not math.isfinite(value):
-            raise _NonFiniteObjective(x, value)
+            raise OptimizationError(
+                f"objective returned non-finite value {value} at {x}",
+                nfev=self.nfev,
+                best_x=self.best_x,
+                best_f=self.best_f,
+            )
         if value > self.best_f:
             self.best_f = value
             self.best_x = np.array(x, dtype=float)
         return value
-
-
-class _NonFiniteObjective(Exception):
-    def __init__(self, x: np.ndarray, value: float):
-        self.x = x
-        self.value = value
 
 
 def _fd_gradient(
@@ -179,7 +170,8 @@ def maximize_flat(
     Returns (x_star, f_star, nfev, converged). nfev counts every call to
     `fun`, including the finite-difference gradient probes (2 per dimension
     per gradient). The best evaluated point is returned, so f_star never
-    falls below fun(x0). Deterministic for fixed inputs.
+    falls below fun(x0). Deterministic for fixed inputs. A non-finite value
+    of `fun` raises OptimizationError.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -195,26 +187,18 @@ def maximize_flat(
     def neg_grad(x: np.ndarray) -> np.ndarray:
         return -_fd_gradient(counted, x, lower, upper, config.gradient_step)
 
-    try:
-        res = _scipy_minimize(
-            neg,
-            x0,
-            jac=neg_grad,
-            method="L-BFGS-B",
-            bounds=list(zip(lower, upper)),
-            options={
-                "ftol": config.convergence_tolerance,
-                "gtol": _PGTOL,
-                "maxiter": config.max_iterations,
-            },
-        )
-    except _NonFiniteObjective as exc:
-        raise OptimizationError(
-            f"objective returned non-finite value {exc.value} at {exc.x}",
-            nfev=counted.nfev,
-            best_x=counted.best_x,
-            best_f=counted.best_f,
-        ) from None
+    res = _scipy_minimize(
+        neg,
+        x0,
+        jac=neg_grad,
+        method="L-BFGS-B",
+        bounds=list(zip(lower, upper)),
+        options={
+            "ftol": config.convergence_tolerance,
+            "gtol": _PGTOL,
+            "maxiter": config.max_iterations,
+        },
+    )
     assert counted.best_x is not None
     return counted.best_x, counted.best_f, counted.nfev, bool(res.success)
 
@@ -228,7 +212,8 @@ def maximize_bounded(
     """Local maximization of a parameter objective within the box `b`.
 
     `phi0` must already lie inside the box (callers clamp first). The
-    reported nfev is exactly the number of `objective` calls made.
+    reported nfev is exactly the number of `objective` calls made. A
+    non-finite objective value raises maximize_flat's OptimizationError.
     """
     if not b.contains(phi0):
         raise ValueError(f"start {phi0} violates bounds {b}; clamp first")
@@ -237,18 +222,7 @@ def maximize_bounded(
     def fun(x: np.ndarray) -> float:
         return objective(Parameters.from_array(x))
 
-    try:
-        x, f, nfev, converged = maximize_flat(fun, phi0.to_array(), lower, upper, config)
-    except OptimizationError as exc:
-        partial = None
-        if exc.best_x is not None:
-            partial = OptResult(
-                phi_star=Parameters.from_array(exc.best_x),
-                f_star=exc.best_f,
-                nfev=exc.nfev,
-                converged=False,
-            )
-        raise OptimizationError(str(exc), partial=partial, nfev=exc.nfev) from None
+    x, f, nfev, converged = maximize_flat(fun, phi0.to_array(), lower, upper, config)
     return OptResult(
         phi_star=Parameters.from_array(x), f_star=f, nfev=nfev, converged=converged
     )

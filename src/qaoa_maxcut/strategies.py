@@ -1,21 +1,23 @@
 """Depth-progressive parameter initialization strategies and their runners.
 
-Every runner produces one DepthRecord per depth 1..max_depth. The bilinear
-strategy extrapolates the next depth's start from the previous two optima and
-performs a single optimization per depth; parameters fixing and layerwise are
-multistart baselines whose nfev totals sum over all trials.
+Every runner produces one DepthRecord per depth 1..max_depth from the same
+depth loop, `_progress`, and differs only in its start policy: the starts it
+optimizes from at each depth, and whether earlier layers stay frozen. The
+bilinear strategy extrapolates the next depth's start from the previous two
+optima and performs a single optimization per depth; parameters fixing and
+layerwise are multistart baselines whose nfev totals sum over all trials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.stats import qmc
 
 from .graphs import Graph, max_cut_brute_force
-from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded, maximize_flat
+from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters
 
 __all__ = [
@@ -114,23 +116,60 @@ def linear_ramp_init(p: int, delta_t: float) -> Parameters:
     return Parameters(gammas=gammas, betas=betas)
 
 
-def _multistart(
-    objective: Callable[[Parameters], float],
-    starts: list[Parameters],
-    b: Bounds,
-    optimizer: OptimizerConfig,
-) -> tuple[OptResult, int]:
-    """Optimize from every start; best objective wins, ties go to the earliest
-    start. Returns (best result, nfev summed over all trials)."""
-    best: OptResult | None = None
-    nfev_total = 0
-    for phi0 in starts:
-        res = maximize_bounded(objective, phi0, b, optimizer)
-        nfev_total += res.nfev
-        if best is None or res.f_star > best.f_star:
-            best = res
-    assert best is not None
-    return best, nfev_total
+def _stack(frozen: Parameters | None, layers: Parameters) -> Parameters:
+    if frozen is None:
+        return layers
+    return Parameters(gammas=frozen.gammas + layers.gammas, betas=frozen.betas + layers.betas)
+
+
+def _progress(
+    g: Graph,
+    cfg: StrategyConfig,
+    label: str,
+    starts: Callable[[int, list[DepthRecord]], list[Parameters]],
+    newest_only: bool = False,
+    first: int = 1,
+) -> list[DepthRecord]:
+    """The depth-progressive loop shared by every strategy: one DepthRecord
+    per depth first..max_depth.
+
+    At each depth p, optimize from every start that the policy
+    `starts(p, records so far)` returns; the best objective wins, ties go to
+    the earliest start, and nfev sums over all starts. With `newest_only`,
+    the starts hold only the newest layer and the previous depth's optimum
+    stays frozen in front of it.
+    """
+    evaluator = ExpectationEvaluator(g)
+    c_max = max_cut_brute_force(g)[0]
+    if c_max < 1:
+        raise ValueError(f"graph has no edges: C_max must be >= 1, got {c_max}")
+    records: list[DepthRecord] = []
+    for p in range(first, cfg.max_depth + 1):
+        frozen = records[-1].phi_star if newest_only and records else None
+
+        def objective(phi: Parameters) -> float:
+            return evaluator.expectation(_stack(frozen, phi))
+
+        best: OptResult | None = None
+        nfev_total = 0
+        for phi0 in starts(p, records):
+            res = maximize_bounded(objective, phi0, cfg.bounds, cfg.optimizer)
+            nfev_total += res.nfev
+            if best is None or res.f_star > best.f_star:
+                best = res
+        assert best is not None
+        records.append(
+            DepthRecord(
+                depth=p,
+                phi_star=_stack(frozen, best.phi_star),
+                f_star=best.f_star,
+                alpha=best.f_star / c_max,
+                nfev_total=nfev_total,
+                strategy=label,
+                converged=best.converged,
+            )
+        )
+    return records
 
 
 def _exhaustion_starts(p: int, cfg: StrategyConfig) -> list[Parameters]:
@@ -148,34 +187,39 @@ def _exhaustion_starts(p: int, cfg: StrategyConfig) -> list[Parameters]:
     return starts
 
 
+def _new_layer_starts(p: int, cfg: StrategyConfig, random_count: int) -> list[Parameters]:
+    """Depth-1 starts for the new layer (gamma_p, beta_p): (0, 0) first, then
+    `random_count` uniform draws over the box, seeded per depth."""
+    b = cfg.bounds
+    zero = clamp(Parameters(gammas=(0.0,), betas=(0.0,)), b)
+    rng = np.random.default_rng([cfg.rng_seed, p])
+    draws = [
+        Parameters(
+            gammas=(rng.uniform(b.gamma_min, b.gamma_max),),
+            betas=(rng.uniform(b.beta_min, b.beta_max),),
+        )
+        for _ in range(random_count)
+    ]
+    return [zero] + draws
+
+
+def _fixing_starts(prev: Parameters, p: int, cfg: StrategyConfig) -> list[Parameters]:
+    """The previous optimum extended by each of `trials` new-layer starts."""
+    return [_stack(prev, layer) for layer in _new_layer_starts(p, cfg, cfg.trials - 1)]
+
+
 def base_exhaustion(
-    g: Graph,
-    p: int,
-    cfg: StrategyConfig,
-    *,
-    label: str = "exhaustion",
-    evaluator: ExpectationEvaluator | None = None,
-    c_max: int | None = None,
+    g: Graph, p: int, cfg: StrategyConfig, *, label: str = "exhaustion"
 ) -> DepthRecord:
     """Best of a seeded multistart at depth 1 or 2, establishing the base
     optima that the depth-progressive strategies build on."""
     if p not in (1, 2):
         raise ValueError(f"base exhaustion is for depths 1 and 2, got {p}")
-    evaluator = evaluator or ExpectationEvaluator(g)
-    if c_max is None:
-        c_max = max_cut_brute_force(g)[0]
-    best, nfev_total = _multistart(
-        evaluator.expectation, _exhaustion_starts(p, cfg), cfg.bounds, cfg.optimizer
-    )
-    return DepthRecord(
-        depth=p,
-        phi_star=best.phi_star,
-        f_star=best.f_star,
-        alpha=best.f_star / c_max,
-        nfev_total=nfev_total,
-        strategy=label,
-        converged=best.converged,
-    )
+
+    def starts(depth: int, records: list[DepthRecord]) -> list[Parameters]:
+        return _exhaustion_starts(depth, cfg)
+
+    return _progress(g, replace(cfg, max_depth=p), label, starts, first=p)[0]
 
 
 def run_bilinear(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
@@ -184,49 +228,13 @@ def run_bilinear(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
     Depths 1 and 2 come from base exhaustion; afterwards each depth costs
     exactly one prediction plus one bounded optimization.
     """
-    evaluator = ExpectationEvaluator(g)
-    c_max = max_cut_brute_force(g)[0]
-    records = [
-        base_exhaustion(g, p, cfg, label="bilinear", evaluator=evaluator, c_max=c_max)
-        for p in (1, 2)[: cfg.max_depth]
-    ]
-    for p in range(3, cfg.max_depth + 1):
-        phi0 = bilinear_predict(records[-1].phi_star, records[-2].phi_star, cfg.bounds)
-        res = maximize_bounded(evaluator.expectation, phi0, cfg.bounds, cfg.optimizer)
-        records.append(
-            DepthRecord(
-                depth=p,
-                phi_star=res.phi_star,
-                f_star=res.f_star,
-                alpha=res.f_star / c_max,
-                nfev_total=res.nfev,
-                strategy="bilinear",
-                converged=res.converged,
-            )
-        )
-    return records
 
+    def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
+        if p <= 2:
+            return _exhaustion_starts(p, cfg)
+        return [bilinear_predict(records[-1].phi_star, records[-2].phi_star, cfg.bounds)]
 
-def _new_pair_starts(
-    prev: Parameters, p: int, cfg: StrategyConfig, random_count: int
-) -> list[tuple[float, float]]:
-    """New-layer (gamma_p, beta_p) starting pairs: (0, 0) first, then
-    `random_count` uniform draws over the box, seeded per depth."""
-    b = cfg.bounds
-    zero = (
-        min(max(0.0, b.gamma_min), b.gamma_max),
-        min(max(0.0, b.beta_min), b.beta_max),
-    )
-    pairs = [zero]
-    rng = np.random.default_rng([cfg.rng_seed, p])
-    for _ in range(random_count):
-        pairs.append(
-            (
-                rng.uniform(b.gamma_min, b.gamma_max),
-                rng.uniform(b.beta_min, b.beta_max),
-            )
-        )
-    return pairs
+    return _progress(g, cfg, "bilinear", starts)
 
 
 def run_parameters_fixing(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
@@ -235,87 +243,26 @@ def run_parameters_fixing(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
     all 2p angles. The (0, 0) new-layer start reproduces the previous optimum
     exactly, which makes the approximation ratio non-decreasing in depth.
     """
-    evaluator = ExpectationEvaluator(g)
-    c_max = max_cut_brute_force(g)[0]
-    records = [
-        base_exhaustion(
-            g, 1, cfg, label="parameters_fixing", evaluator=evaluator, c_max=c_max
-        )
-    ]
-    for p in range(2, cfg.max_depth + 1):
-        prev = records[-1].phi_star
-        starts = [
-            Parameters(gammas=prev.gammas + (gp,), betas=prev.betas + (bp,))
-            for gp, bp in _new_pair_starts(prev, p, cfg, cfg.trials - 1)
-        ]
-        best, nfev_total = _multistart(
-            evaluator.expectation, starts, cfg.bounds, cfg.optimizer
-        )
-        records.append(
-            DepthRecord(
-                depth=p,
-                phi_star=best.phi_star,
-                f_star=best.f_star,
-                alpha=best.f_star / c_max,
-                nfev_total=nfev_total,
-                strategy="parameters_fixing",
-                converged=best.converged,
-            )
-        )
-    return records
+
+    def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
+        if p == 1:
+            return _exhaustion_starts(1, cfg)
+        return _fixing_starts(records[-1].phi_star, p, cfg)
+
+    return _progress(g, cfg, "parameters_fixing", starts)
 
 
 def run_layerwise(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
     """Baseline that freezes all previous angles and optimizes only the newest
     layer's (gamma_p, beta_p): a 2-variable search at every depth, over
     `trials` random starts plus the (0, 0) start."""
-    evaluator = ExpectationEvaluator(g)
-    c_max = max_cut_brute_force(g)[0]
-    records = [
-        base_exhaustion(g, 1, cfg, label="layerwise", evaluator=evaluator, c_max=c_max)
-    ]
-    b = cfg.bounds
-    for p in range(2, cfg.max_depth + 1):
-        prev = records[-1].phi_star
 
-        def objective(pair: np.ndarray) -> float:
-            phi = Parameters(
-                gammas=prev.gammas + (pair[0],), betas=prev.betas + (pair[1],)
-            )
-            return evaluator.expectation(phi)
+    def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
+        if p == 1:
+            return _exhaustion_starts(1, cfg)
+        return _new_layer_starts(p, cfg, cfg.trials)
 
-        best_pair: np.ndarray | None = None
-        best_f = -np.inf
-        best_conv = False
-        nfev_total = 0
-        for pair0 in _new_pair_starts(prev, p, cfg, cfg.trials):
-            x, f, nfev, conv = maximize_flat(
-                objective,
-                np.array(pair0),
-                [b.gamma_min, b.beta_min],
-                [b.gamma_max, b.beta_max],
-                cfg.optimizer,
-            )
-            nfev_total += nfev
-            if f > best_f:
-                best_pair, best_f, best_conv = x, f, conv
-        assert best_pair is not None
-        phi_star = Parameters(
-            gammas=prev.gammas + (float(best_pair[0]),),
-            betas=prev.betas + (float(best_pair[1]),),
-        )
-        records.append(
-            DepthRecord(
-                depth=p,
-                phi_star=phi_star,
-                f_star=best_f,
-                alpha=best_f / c_max,
-                nfev_total=nfev_total,
-                strategy="layerwise",
-                converged=best_conv,
-            )
-        )
-    return records
+    return _progress(g, cfg, "layerwise", starts, newest_only=True)
 
 
 def run_linear_ramp(
@@ -323,24 +270,11 @@ def run_linear_ramp(
 ) -> list[DepthRecord]:
     """Baseline seeded from the discretized-annealing ramp: one optimization
     per depth, started at linear_ramp_init clamped into the box."""
-    evaluator = ExpectationEvaluator(g)
-    c_max = max_cut_brute_force(g)[0]
-    records = []
-    for p in range(1, cfg.max_depth + 1):
-        phi0 = clamp(linear_ramp_init(p, delta_t), cfg.bounds)
-        res = maximize_bounded(evaluator.expectation, phi0, cfg.bounds, cfg.optimizer)
-        records.append(
-            DepthRecord(
-                depth=p,
-                phi_star=res.phi_star,
-                f_star=res.f_star,
-                alpha=res.f_star / c_max,
-                nfev_total=res.nfev,
-                strategy="linear_ramp",
-                converged=res.converged,
-            )
-        )
-    return records
+
+    def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
+        return [clamp(linear_ramp_init(p, delta_t), cfg.bounds)]
+
+    return _progress(g, cfg, "linear_ramp", starts)
 
 
 STRATEGIES: dict[str, Callable[[Graph, StrategyConfig], list[DepthRecord]]] = {

@@ -17,6 +17,7 @@ import numpy as np
 from .graphs import Graph, GraphClass, classify, gen_erdos_renyi, gen_random_regular
 from .optimize import GENERAL_BOUNDS, OptimizerConfig, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters
+from .strategies import DepthRecord, StrategyConfig, _fixing_starts, _progress
 
 __all__ = [
     "SymmetryReport",
@@ -153,6 +154,10 @@ def run_symmetry_suite(
 ) -> list[SymmetryReport]:
     """Run every check over `samples` random (graph, phi, p) draws each and
     report the worst deviation per transform."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if max_p < 1:
+        raise ValueError(f"max_p must be >= 1, got {max_p}")
     rng = np.random.default_rng(seed)
     pools = _suite_graphs(rng, max_n)
 
@@ -196,11 +201,12 @@ def non_adiabatic_progression(
     half of the over-wide box (gamma in [0, pi), beta in [0, pi/2)).
 
     The p=1 start is the best grid point with gamma_1 in [pi/2, pi), refined
-    by bounded optimization. Each later depth keeps the previous branch
-    optimum for the first p-1 layers and tries `trials` new-layer starts over
-    the whole box (one at (0, 0), the rest seeded uniform draws), optimizing
-    all angles. Every optimization runs in the full over-wide box, so staying
-    on the non-adiabatic branch is the landscape's doing, not the harness's.
+    by bounded optimization. Later depths follow the parameters-fixing
+    policy from that optimum: keep the previous branch optimum for the first
+    p-1 layers and try `trials` new-layer starts over the whole box (one at
+    (0, 0), the rest seeded uniform draws), optimizing all angles. Every
+    optimization runs in the full over-wide box, so staying on the
+    non-adiabatic branch is the landscape's doing, not the harness's.
     Returns the per-depth optimal parameters.
     """
     if classify(g) is not GraphClass.ODD_REGULAR:
@@ -216,23 +222,14 @@ def non_adiabatic_progression(
             if f > best_f:
                 best_start, best_f = phi, f
     assert best_start is not None
-    optima = [maximize_bounded(ev.expectation, best_start, b, optimizer).phi_star]
+    phi1 = maximize_bounded(ev.expectation, best_start, b, optimizer).phi_star
 
-    for p in range(2, max_depth + 1):
-        prev = optima[-1]
-        rng = np.random.default_rng([seed, p])
-        pairs = [(0.0, 0.0)] + [
-            (rng.uniform(b.gamma_min, b.gamma_max), rng.uniform(b.beta_min, b.beta_max))
-            for _ in range(trials - 1)
-        ]
-        best, best_f = None, -math.inf
-        for gamma_p, beta_p in pairs:
-            phi0 = Parameters(
-                gammas=prev.gammas + (gamma_p,), betas=prev.betas + (beta_p,)
-            )
-            res = maximize_bounded(ev.expectation, phi0, b, optimizer)
-            if res.f_star > best_f:
-                best, best_f = res.phi_star, res.f_star
-        assert best is not None
-        optima.append(best)
-    return optima
+    cfg = StrategyConfig(
+        max_depth=max_depth, bounds=b, trials=trials, rng_seed=seed, optimizer=optimizer
+    )
+
+    def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
+        return _fixing_starts(records[-1].phi_star if records else phi1, p, cfg)
+
+    records = _progress(g, cfg, "non_adiabatic", starts, first=2)
+    return [phi1] + [r.phi_star for r in records]

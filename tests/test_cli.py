@@ -128,3 +128,43 @@ class TestVerify:
         assert "[ok]" in stdout
         rs = ResultSet.load(out)
         assert len(rs.symmetry_reports) == 6
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestBadInputs:
+    def write(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_edgeless_instance_fails_cleanly(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, dict(CONFIG, instances=[{"kind": "erdos_renyi", "n": 5, "prob": 0.0, "seed": 0}])
+        )
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, "C_max must be >= 1")
+
+    def test_instance_without_n_names_the_key(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path, dict(CONFIG, instances=[{"kind": "regular", "degree": 3, "seed": 0}])
+        )
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, "missing the required key 'n'")
+
+    def test_list_shaped_config_fails_cleanly(self, tmp_path, capsys):
+        path = self.write(tmp_path, [CONFIG])
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, "config must be a JSON object")
+
+    @pytest.mark.parametrize("flag, name", [("--max-p", "max_p"), ("--samples", "samples")])
+    def test_verify_rejects_zero(self, flag, name, capsys):
+        assert run_cli("verify", flag, 0) == 1
+        assert_one_error_line(capsys, f"{name} must be >= 1")

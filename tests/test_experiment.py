@@ -100,6 +100,31 @@ class TestExperimentConfig:
         hashes = {base.config_hash()} | {v.config_hash() for v in variants}
         assert len(hashes) == 1 + len(variants)
 
+    def test_readme_config_hash_is_pinned(self):
+        cfg = ExperimentConfig.from_dict(
+            {
+                "instances": [
+                    {"kind": "regular", "n": 10, "degree": 3, "seed": 7},
+                    {"kind": "regular", "n": 10, "degree": 4, "seed": 3},
+                    {"kind": "erdos_renyi", "n": 12, "prob": 0.5, "seed": 5},
+                ],
+                "strategies": ["bilinear", "parameters_fixing", "layerwise"],
+                "max_depth": 8,
+                "trials": 20,
+                "rng_seed": 11,
+                "optimizer": {
+                    "gradient_step": 1e-6,
+                    "convergence_tolerance": 1e-9,
+                    "max_iterations": 500,
+                },
+                "bounds": None,
+                "symmetry_samples": 0,
+            }
+        )
+        assert cfg.config_hash() == (
+            "4fc65971afa66f2f5bdf09336a6541ddfd0797fbe32dab3d243deea8fa217cc5"
+        )
+
     def test_from_file_rejects_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
