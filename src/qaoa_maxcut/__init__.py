@@ -22,15 +22,7 @@ from .optimize import (
     clamp,
     maximize_bounded,
 )
-from .simulator import (
-    ExpectationEvaluator,
-    Parameters,
-    approximation_ratio,
-    expectation,
-    expectation_dense_oracle,
-    gradient,
-    prepare_ansatz,
-)
+from .simulator import ExpectationEvaluator, Parameters, expectation_dense_oracle
 from .strategies import (
     DepthRecord,
     StrategyConfig,

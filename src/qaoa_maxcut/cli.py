@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
@@ -29,23 +30,14 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    d = cfg.to_dict()
-    if args.max_depth is not None:
-        d["max_depth"] = args.max_depth
-    if args.trials is not None:
-        d["trials"] = args.trials
-    if args.seed is not None:
-        d["rng_seed"] = args.seed
-    return ExperimentConfig.from_dict(d)
+    overrides = {"max_depth": args.max_depth, "trials": args.trials, "rng_seed": args.seed}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        specs = tuple(
-            InstanceSpec.from_dict({**s.to_dict(), "seed": args.seed})
-            for s in cfg.instances
-        )
+        specs = tuple(replace(s, seed=args.seed) for s in cfg.instances)
     else:
         specs = cfg.instances
     out_dir = Path(args.out)

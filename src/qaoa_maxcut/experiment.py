@@ -14,15 +14,17 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .graphs import Graph, classify, gen_erdos_renyi, gen_random_regular, max_cut_brute_force
 from .optimize import Bounds, OptimizerConfig, bounds_for_graph
-from .simulator import ExpectationEvaluator, Parameters
+from .simulator import MAX_QUBITS, ExpectationEvaluator, Parameters
 from .strategies import STRATEGIES, DepthRecord, StrategyConfig
 from .symmetry import SymmetryReport, run_symmetry_suite
 
@@ -42,16 +44,48 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid or unsatisfiable."""
 
 
-def _object(d: object, what: str) -> dict:
+def _decode(cls: type, d: object, what: str):
+    """Build the dataclass `cls` from the JSON object `d`, checking every key
+    against the field types; `what` names `d` in error messages."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
-    return d
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _decode_value(hints[f.name], d[f.name], f"{what}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{what} {d} is missing the required key {f.name!r}")
+    return cls(**kwargs)
 
 
-def _required(d: object, key: str, what: str):
-    if key not in _object(d, what):
-        raise ConfigError(f"{what} {d} is missing the required key {key!r}")
-    return d[key]
+# JSON value types accepted for each scalar field type (bools are not ints),
+# and how an error message describes them.
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _decode_value(tp: object, v: object, what: str):
+    if get_origin(tp) is UnionType:  # `X | None`, the only union in use
+        if v is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return _decode(tp, v, what)
+    if get_origin(tp) is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"{what} must be a JSON list, got {json.dumps(v)}")
+        return tuple(_decode_value(get_args(tp)[0], x, f"{what}[{i}]") for i, x in enumerate(v))
+    accepted, description = _SCALARS[tp]
+    if type(v) not in accepted:
+        raise ConfigError(f"{what} must be {description}, got {json.dumps(v)}")
+    return float(v) if tp is float else v
 
 
 @dataclass(frozen=True)
@@ -73,6 +107,11 @@ class InstanceSpec:
                 raise ConfigError(f"{self}: erdos_renyi instance needs an edge probability")
         else:
             raise ConfigError(f"{self}: unknown instance kind {self.kind!r}")
+        if self.n > MAX_QUBITS:
+            raise ConfigError(
+                f"instance {self.instance_id}: n={self.n} exceeds the simulator "
+                f"limit of {MAX_QUBITS} qubits"
+            )
 
     @property
     def instance_id(self) -> str:
@@ -89,22 +128,7 @@ class InstanceSpec:
             raise ConfigError(f"instance {self.instance_id} is unsatisfiable: {exc}") from None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "n": self.n, "seed": self.seed}
-        if self.degree is not None:
-            d["degree"] = self.degree
-        if self.prob is not None:
-            d["prob"] = self.prob
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> InstanceSpec:
-        return cls(
-            kind=_required(d, "kind", "instance"),
-            n=int(_required(d, "n", "instance")),
-            seed=int(_required(d, "seed", "instance")),
-            degree=d.get("degree"),
-            prob=d.get("prob"),
-        )
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -140,55 +164,14 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "instances": [spec.to_dict() for spec in self.instances],
             "strategies": list(self.strategies),
-            "max_depth": self.max_depth,
-            "trials": self.trials,
-            "rng_seed": self.rng_seed,
-            "optimizer": {
-                "gradient_step": self.optimizer.gradient_step,
-                "convergence_tolerance": self.optimizer.convergence_tolerance,
-                "max_iterations": self.optimizer.max_iterations,
-            },
-            "bounds": None
-            if self.bounds is None
-            else {
-                "gamma_min": self.bounds.gamma_min,
-                "gamma_max": self.bounds.gamma_max,
-                "beta_min": self.bounds.beta_min,
-                "beta_max": self.bounds.beta_max,
-            },
-            "symmetry_samples": self.symmetry_samples,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> ExperimentConfig:
-        _object(d, "config")
-        opt = _object(d.get("optimizer") or {}, "optimizer")
-        bounds = d.get("bounds")
-        return cls(
-            instances=tuple(InstanceSpec.from_dict(s) for s in d.get("instances", [])),
-            strategies=tuple(d.get("strategies", [])),
-            max_depth=int(d.get("max_depth", 10)),
-            trials=int(d.get("trials", 20)),
-            rng_seed=int(d.get("rng_seed", 0)),
-            optimizer=OptimizerConfig(
-                gradient_step=float(opt.get("gradient_step", OptimizerConfig().gradient_step)),
-                convergence_tolerance=float(
-                    opt.get("convergence_tolerance", OptimizerConfig().convergence_tolerance)
-                ),
-                max_iterations=int(opt.get("max_iterations", OptimizerConfig().max_iterations)),
-            ),
-            bounds=None
-            if bounds is None
-            else Bounds(
-                gamma_min=float(_required(bounds, "gamma_min", "bounds")),
-                gamma_max=float(_required(bounds, "gamma_max", "bounds")),
-                beta_min=float(_required(bounds, "beta_min", "bounds")),
-                beta_max=float(_required(bounds, "beta_max", "bounds")),
-            ),
-            symmetry_samples=int(d.get("symmetry_samples", 0)),
-        )
+        return _decode(cls, d, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:
@@ -251,28 +234,31 @@ class ResultSet:
     @classmethod
     def from_json(cls, text: str) -> ResultSet:
         doc = json.loads(text)
-        rs = cls(meta=doc["meta"])
-        for row in doc["records"]:
-            rec = DepthRecord(
-                depth=int(row["depth"]),
-                phi_star=Parameters(
-                    gammas=tuple(row["gammas"]), betas=tuple(row["betas"])
-                ),
-                f_star=float(row["f_star"]),
-                alpha=float(row["alpha"]),
-                nfev_total=int(row["nfev"]),
-                strategy=row["strategy"],
-                converged=bool(row["converged"]),
-            )
-            rs.add(row["instance"], rec)
-        rs.symmetry_reports = [
-            SymmetryReport(
-                transform=r["transform"],
-                max_abs_deviation=float(r["max_abs_deviation"]),
-                samples=int(r["samples"]),
-            )
-            for r in doc.get("symmetry_reports", [])
-        ]
+        try:
+            rs = cls(meta=doc["meta"])
+            for row in doc["records"]:
+                rec = DepthRecord(
+                    depth=int(row["depth"]),
+                    phi_star=Parameters(
+                        gammas=tuple(row["gammas"]), betas=tuple(row["betas"])
+                    ),
+                    f_star=float(row["f_star"]),
+                    alpha=float(row["alpha"]),
+                    nfev_total=int(row["nfev"]),
+                    strategy=row["strategy"],
+                    converged=bool(row["converged"]),
+                )
+                rs.add(row["instance"], rec)
+            rs.symmetry_reports = [
+                SymmetryReport(
+                    transform=r["transform"],
+                    max_abs_deviation=float(r["max_abs_deviation"]),
+                    samples=int(r["samples"]),
+                )
+                for r in doc.get("symmetry_reports", [])
+            ]
+        except KeyError as exc:
+            raise ValueError(f"results file is missing the required key {exc}") from None
         return rs
 
     def save(self, path: str | Path) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .graphs import GraphClass
-from .simulator import DEFAULT_GRADIENT_STEP, Parameters
+from .simulator import Parameters
 
 __all__ = [
     "Bounds",
@@ -23,7 +23,10 @@ __all__ = [
     "maximize_bounded",
     "REGULAR_BOUNDS",
     "GENERAL_BOUNDS",
+    "DEFAULT_GRADIENT_STEP",
 ]
+
+DEFAULT_GRADIENT_STEP = 1e-6
 
 # Projected-gradient stopping threshold (infinity norm), alongside the
 # relative-objective tolerance carried in OptimizerConfig.
@@ -49,10 +52,10 @@ class Bounds:
         upper = np.array([self.gamma_max] * p + [self.beta_max] * p)
         return lower, upper
 
-    def contains(self, phi: Parameters, tol: float = 0.0) -> bool:
+    def contains(self, phi: Parameters) -> bool:
         lower, upper = self.box(phi.p)
         x = phi.to_array()
-        return bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
+        return bool(np.all(x >= lower) and np.all(x <= upper))
 
 
 # Half-open search regions, realized as closed boxes for the optimizer: the

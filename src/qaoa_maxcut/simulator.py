@@ -17,17 +17,9 @@ from .graphs import Graph, cut_table
 __all__ = [
     "Parameters",
     "ExpectationEvaluator",
-    "initial_plus_state",
-    "apply_phase_separator",
-    "apply_mixer",
-    "prepare_ansatz",
-    "expectation",
     "expectation_dense_oracle",
-    "approximation_ratio",
-    "gradient",
     "MAX_QUBITS",
     "DENSE_ORACLE_MAX_QUBITS",
-    "DEFAULT_GRADIENT_STEP",
 ]
 
 # 2^20 complex amplitudes = 16 MiB; instances beyond that are out of scope.
@@ -35,8 +27,6 @@ MAX_QUBITS = 20
 
 # The dense oracle builds explicit 2^n x 2^n matrices.
 DENSE_ORACLE_MAX_QUBITS = 8
-
-DEFAULT_GRADIENT_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,52 +64,31 @@ class Parameters:
         return cls(gammas=tuple(x[:p]), betas=tuple(x[p:]))
 
 
-def _qubit_count(state: np.ndarray) -> int:
-    n = int(state.size).bit_length() - 1
-    if state.size != 1 << n:
-        raise ValueError(f"state length {state.size} is not a power of two")
-    return n
-
-
-def initial_plus_state(n: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:
-    """|+>^n: every amplitude 2^(-n/2)."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    if n > max_qubits:
-        raise ValueError(f"n={n} exceeds the simulator guard of {max_qubits} qubits")
-    return np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-
-
 def _phase_kernel(state: np.ndarray, cuts: np.ndarray, gamma: float) -> None:
-    state *= np.exp(-1j * gamma * cuts)
+    """In place: multiply the amplitude of each basis state z by exp(-i * gamma * cut(z)).
+
+    `cuts` holds the cut values as integers, so the phase is computed once
+    per distinct value and gathered.
+    """
+    state *= np.exp(-1j * gamma * np.arange(cuts.max() + 1.0))[cuts]
 
 
 def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
-    # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]].
+    """In place: apply exp(-i * beta * X) to each of the n qubits."""
+    # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
+    # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-state ops.
+    # One scratch state serves every pass; a fresh one per pass raised the
+    # peak memory at n = 20 by a state's size.
     c = math.cos(beta)
     s = -1j * math.sin(beta)
+    scratch = np.empty_like(state)
     for q in range(n):
-        view = state.reshape(-1, 2, 1 << q)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = c * a + s * b
-        view[:, 1, :] = s * a + c * b
-
-
-def apply_phase_separator(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
-    """Multiply the amplitude of each basis state z by exp(-i * gamma * cut(z))."""
-    if state.size != 1 << g.n:
-        raise ValueError(f"state has {_qubit_count(state)} qubits, graph has {g.n} vertices")
-    out = np.array(state, dtype=complex)
-    _phase_kernel(out, cut_table(g), gamma)
-    return out
-
-
-def apply_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """Apply exp(-i * beta * X) to every qubit."""
-    out = np.array(state, dtype=complex)
-    _mixer_kernel(out, beta, _qubit_count(out))
-    return out
+        shape = (-1, 2, 1 << q)
+        view = state.reshape(shape)
+        swapped = scratch.reshape(shape)
+        np.multiply(view[:, ::-1, :], s, out=swapped)
+        view *= c
+        view += swapped
 
 
 class ExpectationEvaluator:
@@ -130,53 +99,32 @@ class ExpectationEvaluator:
     evaluated thousands of times across depths.
     """
 
-    def __init__(self, g: Graph, max_qubits: int = MAX_QUBITS):
-        if g.n > max_qubits:
-            raise ValueError(f"n={g.n} exceeds the simulator guard of {max_qubits} qubits")
+    def __init__(self, g: Graph):
+        if g.n > MAX_QUBITS:
+            raise ValueError(f"n={g.n} exceeds the simulator guard of {MAX_QUBITS} qubits")
         self.graph = g
         self._cuts = cut_table(g)
+        # A simple graph on at most MAX_QUBITS = 20 vertices has at most 190
+        # edges, so every cut value fits in one byte.
+        self._cut_index = self._cuts.astype(np.uint8)
 
     def prepare(self, phi: Parameters) -> np.ndarray:
+        """|+>^n followed by p alternating (phase separator, mixer) layers."""
         state = np.full(1 << self.graph.n, 2.0 ** (-self.graph.n / 2), dtype=complex)
         for gamma, beta in zip(phi.gammas, phi.betas):
-            _phase_kernel(state, self._cuts, gamma)
+            _phase_kernel(state, self._cut_index, gamma)
             _mixer_kernel(state, beta, self.graph.n)
         return state
 
     def expectation(self, phi: Parameters) -> float:
+        """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z)."""
         state = self.prepare(phi)
         probs = state.real**2 + state.imag**2
         return float(probs @ self._cuts)
 
-    def gradient(self, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-        """Central finite differences over the 2p angles (2 evaluations each)."""
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        x = phi.to_array()
-        grad = np.empty_like(x)
-        for k in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += step
-            xm[k] -= step
-            grad[k] = (
-                self.expectation(Parameters.from_array(xp))
-                - self.expectation(Parameters.from_array(xm))
-            ) / (2.0 * step)
-        return grad
-
-
-def prepare_ansatz(g: Graph, phi: Parameters) -> np.ndarray:
-    """|+>^n followed by p alternating (phase separator, mixer) layers."""
-    return ExpectationEvaluator(g).prepare(phi)
-
-
-def expectation(g: Graph, phi: Parameters) -> float:
-    """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z)."""
-    return ExpectationEvaluator(g).expectation(phi)
-
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:
-    """Same value as `expectation`, via explicit 2^n x 2^n matrices.
+    """Same value as `ExpectationEvaluator.expectation`, via explicit 2^n x 2^n matrices.
 
     Kept deliberately independent of the fast kernels: the phase separator is
     a diagonal matrix exponential and the mixer is an n-fold Kronecker power
@@ -203,14 +151,3 @@ def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:
     probs = np.abs(state) ** 2
     return float(probs @ cuts)
 
-
-def approximation_ratio(f: float, c_max: int) -> float:
-    """f / C_max, the fraction of the maximum cut captured by the expectation."""
-    if c_max < 1:
-        raise ValueError(f"C_max must be >= 1, got {c_max}")
-    return f / c_max
-
-
-def gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient of the expectation over the 2p angles."""
-    return ExpectationEvaluator(g).gradient(phi, step)

@@ -265,14 +265,13 @@ def run_layerwise(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
     return _progress(g, cfg, "layerwise", starts, newest_only=True)
 
 
-def run_linear_ramp(
-    g: Graph, cfg: StrategyConfig, delta_t: float = DEFAULT_LINEAR_RAMP_DT
-) -> list[DepthRecord]:
+def run_linear_ramp(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
     """Baseline seeded from the discretized-annealing ramp: one optimization
-    per depth, started at linear_ramp_init clamped into the box."""
+    per depth, started at linear_ramp_init with DEFAULT_LINEAR_RAMP_DT
+    clamped into the box."""
 
     def starts(p: int, records: list[DepthRecord]) -> list[Parameters]:
-        return [clamp(linear_ramp_init(p, delta_t), cfg.bounds)]
+        return [clamp(linear_ramp_init(p, DEFAULT_LINEAR_RAMP_DT), cfg.bounds)]
 
     return _progress(g, cfg, "linear_ramp", starts)
 

@@ -1,9 +1,9 @@
 """Executable checks for the symmetry and periodicity identities of the
 Max-Cut expectation landscape, plus the non-adiabatic branch harness.
 
-Each check evaluates |F(phi) - F(transform(phi))| on a concrete graph; the
-identities are exact, so any deviation beyond accumulated roundoff indicates
-a simulator or transform bug.
+Each check evaluates |F(phi) - F(transform(phi))| with the evaluator of a
+concrete graph; the identities are exact, so any deviation beyond
+accumulated roundoff indicates a simulator or transform bug.
 """
 
 from __future__ import annotations
@@ -43,21 +43,20 @@ class SymmetryReport:
     samples: int
 
 
-def _pair(g: Graph, phi: Parameters, phi2: Parameters) -> float:
-    ev = ExpectationEvaluator(g)
+def _pair(ev: ExpectationEvaluator, phi: Parameters, phi2: Parameters) -> float:
     return abs(ev.expectation(phi) - ev.expectation(phi2))
 
 
-def check_angle_reversal(g: Graph, phi: Parameters) -> float:
+def check_angle_reversal(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(-gamma, -beta)|; zero for any graph."""
     negated = Parameters(
         gammas=tuple(-x for x in phi.gammas), betas=tuple(-x for x in phi.betas)
     )
-    return _pair(g, phi, negated)
+    return _pair(ev, phi, negated)
 
 
 def check_periodicity(
-    g: Graph,
+    ev: ExpectationEvaluator,
     phi: Parameters,
     gamma_shift: Sequence[int] = (),
     beta_shift: Sequence[int] = (),
@@ -70,22 +69,22 @@ def check_periodicity(
         gammas[j] += 2.0 * math.pi
     for j in beta_shift:
         betas[j] += math.pi / 2.0
-    return _pair(g, phi, Parameters(gammas=tuple(gammas), betas=tuple(betas)))
+    return _pair(ev, phi, Parameters(gammas=tuple(gammas), betas=tuple(betas)))
 
 
-def check_general_point_symmetry(g: Graph, phi: Parameters) -> float:
+def check_general_point_symmetry(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(2*pi - gamma, pi/2 - beta)|, element-wise transform."""
     mapped = Parameters(
         gammas=tuple(2.0 * math.pi - x for x in phi.gammas),
         betas=tuple(math.pi / 2.0 - x for x in phi.betas),
     )
-    return _pair(g, phi, mapped)
+    return _pair(ev, phi, mapped)
 
 
-def check_even_regular(g: Graph, phi: Parameters) -> float:
+def check_even_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """Even-regular graphs have a pi period in gamma and the point symmetry
     (pi - gamma, pi/2 - beta); returns the larger of the two deviations."""
-    if classify(g) is not GraphClass.EVEN_REGULAR:
+    if classify(ev.graph) is not GraphClass.EVEN_REGULAR:
         raise ValueError("graph is not even-regular")
     shifted = Parameters(
         gammas=tuple(x + math.pi for x in phi.gammas), betas=phi.betas
@@ -94,7 +93,6 @@ def check_even_regular(g: Graph, phi: Parameters) -> float:
         gammas=tuple(math.pi - x for x in phi.gammas),
         betas=tuple(math.pi / 2.0 - x for x in phi.betas),
     )
-    ev = ExpectationEvaluator(g)
     f = ev.expectation(phi)
     return max(abs(f - ev.expectation(shifted)), abs(f - ev.expectation(mirrored)))
 
@@ -107,15 +105,15 @@ def tilde_beta(betas: Sequence[float]) -> tuple[float, ...]:
     )
 
 
-def check_odd_regular(g: Graph, phi: Parameters) -> float:
+def check_odd_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(pi - gamma, tilde(beta))| for odd-regular graphs."""
-    if classify(g) is not GraphClass.ODD_REGULAR:
+    if classify(ev.graph) is not GraphClass.ODD_REGULAR:
         raise ValueError("graph is not odd-regular")
     mapped = Parameters(
         gammas=tuple(math.pi - x for x in phi.gammas),
         betas=tilde_beta(phi.betas),
     )
-    return _pair(g, phi, mapped)
+    return _pair(ev, phi, mapped)
 
 
 def _random_phi(rng: np.random.Generator, p: int) -> Parameters:
@@ -159,25 +157,28 @@ def run_symmetry_suite(
     if max_p < 1:
         raise ValueError(f"max_p must be >= 1, got {max_p}")
     rng = np.random.default_rng(seed)
-    pools = _suite_graphs(rng, max_n)
+    pools = {
+        name: [ExpectationEvaluator(g) for g in pool]
+        for name, pool in _suite_graphs(rng, max_n).items()
+    }
 
-    def sweep(name: str, pool: list[Graph], fn) -> SymmetryReport:
+    def sweep(name: str, pool: list[ExpectationEvaluator], fn) -> SymmetryReport:
         worst = 0.0
         for _ in range(samples):
-            g = pool[rng.integers(len(pool))]
+            ev = pool[rng.integers(len(pool))]
             phi = _random_phi(rng, int(rng.integers(1, max_p + 1)))
-            worst = max(worst, fn(g, phi))
+            worst = max(worst, fn(ev, phi))
         return SymmetryReport(transform=name, max_abs_deviation=worst, samples=samples)
 
-    def periodicity_full(g: Graph, phi: Parameters) -> float:
+    def periodicity_full(ev: ExpectationEvaluator, phi: Parameters) -> float:
         return check_periodicity(
-            g, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p)
+            ev, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p)
         )
 
-    def periodicity_masked(g: Graph, phi: Parameters) -> float:
+    def periodicity_masked(ev: ExpectationEvaluator, phi: Parameters) -> float:
         mask_g = [j for j in range(phi.p) if rng.random() < 0.5]
         mask_b = [j for j in range(phi.p) if rng.random() < 0.5]
-        return check_periodicity(g, phi, gamma_shift=mask_g, beta_shift=mask_b)
+        return check_periodicity(ev, phi, gamma_shift=mask_g, beta_shift=mask_b)
 
     return [
         sweep("angle_reversal", pools["general"], check_angle_reversal),

@@ -164,6 +164,78 @@ class TestBadInputs:
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
         assert_one_error_line(capsys, "config must be a JSON object")
 
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"trails": 1}, "unknown key(s) 'trails'"),
+            ({"strategies": "bilinear"}, "config.strategies must be a JSON list"),
+            ({"max_depth": 2.9}, "config.max_depth must be an integer, got 2.9"),
+            ({"trials": True}, "config.trials must be an integer, got true"),
+            ({"instances": 5}, "config.instances must be a JSON list"),
+            (
+                {"instances": [{"kind": "regular", "n": None, "degree": 3, "seed": 0}]},
+                "config.instances[0].n must be an integer, got null",
+            ),
+            (
+                {"instances": [{"kind": "regular", "n": 4, "degree": "3", "seed": 0}]},
+                "config.instances[0].degree must be an integer",
+            ),
+            (
+                {"instances": [{"kind": "erdos_renyi", "n": 4, "prob": "0.5", "seed": 0}]},
+                "config.instances[0].prob must be a number",
+            ),
+            (
+                {"instances": [{"kind": "regular", "n": 22, "degree": 3, "seed": 0}]},
+                "instance reg3-n22-s0: n=22 exceeds",
+            ),
+        ],
+        ids=[
+            "unknown-key",
+            "string-strategies",
+            "float-depth",
+            "bool-trials",
+            "int-instances",
+            "null-n",
+            "string-degree",
+            "string-prob",
+            "n-too-large",
+        ],
+    )
+    def test_malformed_config_fails_cleanly(self, change, fragment, tmp_path, capsys):
+        path = self.write(tmp_path, {**CONFIG, **change})
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({}, "'meta'"),
+            (
+                {
+                    "meta": {},
+                    "records": [
+                        {
+                            "instance": "reg1-n2-s0",
+                            "strategy": "bilinear",
+                            "depth": 1,
+                            "betas": [0.4],
+                            "f_star": 1.0,
+                            "alpha": 1.0,
+                            "nfev": 9,
+                            "converged": True,
+                        }
+                    ],
+                },
+                "'gammas'",
+            ),
+        ],
+        ids=["empty-document", "record-without-gammas"],
+    )
+    def test_malformed_results_fail_cleanly(self, doc, key, tmp_path, capsys):
+        path = self.write(tmp_path, doc)
+        assert run_cli("table", "--results", path) == 1
+        assert_one_error_line(capsys, f"missing the required key {key}")
+
     @pytest.mark.parametrize("flag, name", [("--max-p", "max_p"), ("--samples", "samples")])
     def test_verify_rejects_zero(self, flag, name, capsys):
         assert run_cli("verify", flag, 0) == 1

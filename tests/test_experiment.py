@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoa_maxcut.experiment import (
     ConfigError,
@@ -16,7 +18,8 @@ from qaoa_maxcut.experiment import (
     run_experiment,
 )
 from qaoa_maxcut.graphs import Graph
-from qaoa_maxcut.optimize import Bounds
+from qaoa_maxcut.optimize import Bounds, OptimizerConfig
+from qaoa_maxcut.strategies import STRATEGIES
 
 K2_SPEC = InstanceSpec(kind="regular", n=2, degree=1, seed=0)
 K2 = Graph(n=2, edges=((0, 1),))
@@ -32,6 +35,48 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _box(lo_hi):
+    return st.lists(lo_hi, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-12, max_value=1.0)
+_specs = st.one_of(
+    st.builds(
+        InstanceSpec,
+        kind=st.just("regular"),
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32),
+        degree=st.integers(0, 19),
+    ),
+    st.builds(
+        InstanceSpec,
+        kind=st.just("erdos_renyi"),
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32),
+        prob=st.floats(0.0, 1.0),
+    ),
+)
+_configs = st.builds(
+    ExperimentConfig,
+    instances=st.lists(_specs, min_size=1, max_size=3, unique_by=lambda s: s.instance_id).map(
+        tuple
+    ),
+    strategies=st.lists(st.sampled_from(sorted(STRATEGIES)), min_size=1, unique=True).map(tuple),
+    max_depth=st.integers(1, 50),
+    trials=st.integers(1, 50),
+    rng_seed=st.integers(0, 2**64),
+    optimizer=st.builds(
+        OptimizerConfig,
+        gradient_step=_positive,
+        convergence_tolerance=_positive,
+        max_iterations=st.integers(1, 10**6),
+    ),
+    bounds=st.none() | st.builds(lambda g, b: Bounds(*g, *b), _box(_finite), _box(_finite)),
+    symmetry_samples=st.integers(0, 1000),
+)
 
 
 def parse_csv(text):
@@ -82,6 +127,13 @@ class TestExperimentConfig:
     def test_dict_round_trip(self):
         cfg = small_config(bounds=Bounds(0.0, math.pi, 0.0, math.pi / 2))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(_configs)
+    def test_json_round_trip_keeps_config_and_hash(self, cfg):
+        back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert back == cfg
+        assert back.config_hash() == cfg.config_hash()
 
     def test_hash_stable_for_equal_configs(self):
         assert small_config().config_hash() == small_config().config_hash()

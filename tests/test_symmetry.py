@@ -20,6 +20,8 @@ from qaoa_maxcut.symmetry import (
 
 K3 = Graph(n=3, edges=((0, 1), (1, 2), (0, 2)))
 K4 = Graph(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+EV3 = ExpectationEvaluator(K3)
+EV4 = ExpectationEvaluator(K4)
 
 
 def random_phi(rng, p):
@@ -32,60 +34,60 @@ def random_phi(rng, p):
 class TestAngleReversal:
     def test_zero_point_is_fixed(self):
         phi = Parameters(gammas=(0.0, 0.0), betas=(0.0, 0.0))
-        assert check_angle_reversal(K3, phi) == 0.0
+        assert check_angle_reversal(EV3, phi) == 0.0
 
     def test_k3_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert check_angle_reversal(K3, random_phi(rng, 2)) <= 1e-9
+            assert check_angle_reversal(EV3, random_phi(rng, 2)) <= 1e-9
 
     def test_erdos_renyi_random(self):
-        g = gen_erdos_renyi(10, 0.7, 5)
+        ev = ExpectationEvaluator(gen_erdos_renyi(10, 0.7, 5))
         rng = np.random.default_rng(1)
         for _ in range(10):
-            assert check_angle_reversal(g, random_phi(rng, 3)) <= 1e-9
+            assert check_angle_reversal(ev, random_phi(rng, 3)) <= 1e-9
 
 
 class TestPeriodicity:
     def test_empty_mask_is_zero(self):
         rng = np.random.default_rng(2)
-        assert check_periodicity(K3, random_phi(rng, 2)) == 0.0
+        assert check_periodicity(EV3, random_phi(rng, 2)) == 0.0
 
     def test_full_gamma_shift(self):
-        g = gen_erdos_renyi(8, 0.5, 3)
+        ev = ExpectationEvaluator(gen_erdos_renyi(8, 0.5, 3))
         rng = np.random.default_rng(3)
         for _ in range(10):
             phi = random_phi(rng, 2)
-            assert check_periodicity(g, phi, gamma_shift=range(2)) <= 1e-9
+            assert check_periodicity(ev, phi, gamma_shift=range(2)) <= 1e-9
 
     def test_single_beta_element_shift(self):
-        g = gen_erdos_renyi(8, 0.5, 4)
+        ev = ExpectationEvaluator(gen_erdos_renyi(8, 0.5, 4))
         rng = np.random.default_rng(4)
         for _ in range(10):
             phi = random_phi(rng, 3)
-            assert check_periodicity(g, phi, beta_shift=[1]) <= 1e-9
+            assert check_periodicity(ev, phi, beta_shift=[1]) <= 1e-9
 
     def test_arbitrary_masks(self):
-        g = gen_random_regular(8, 3, 5)
+        ev = ExpectationEvaluator(gen_random_regular(8, 3, 5))
         rng = np.random.default_rng(5)
         for _ in range(10):
             phi = random_phi(rng, 3)
             assert (
-                check_periodicity(g, phi, gamma_shift=[0, 2], beta_shift=[0, 1]) <= 1e-9
+                check_periodicity(ev, phi, gamma_shift=[0, 2], beta_shift=[0, 1]) <= 1e-9
             )
 
 
 class TestGeneralPointSymmetry:
     def test_center_point_is_fixed(self):
         phi = Parameters(gammas=(math.pi, math.pi), betas=(math.pi / 4, math.pi / 4))
-        assert check_general_point_symmetry(K3, phi) == 0.0
+        assert check_general_point_symmetry(EV3, phi) == 0.0
 
     def test_non_regular_random(self):
-        g = gen_erdos_renyi(9, 0.4, 7)
-        assert classify(g).value == "non_regular"
+        ev = ExpectationEvaluator(gen_erdos_renyi(9, 0.4, 7))
+        assert classify(ev.graph).value == "non_regular"
         rng = np.random.default_rng(6)
         for _ in range(10):
-            assert check_general_point_symmetry(g, random_phi(rng, 2)) <= 1e-9
+            assert check_general_point_symmetry(ev, random_phi(rng, 2)) <= 1e-9
 
     def test_depth_one_maxima_are_images_of_each_other(self):
         # Locate the two depth-1 maxima by grid+refine on a non-regular graph;
@@ -118,19 +120,19 @@ class TestGeneralPointSymmetry:
 
 class TestEvenRegular:
     def test_four_regular_random(self):
-        g = gen_random_regular(10, 4, 8)
+        ev = ExpectationEvaluator(gen_random_regular(10, 4, 8))
         rng = np.random.default_rng(8)
         for _ in range(10):
-            assert check_even_regular(g, random_phi(rng, 2)) <= 1e-9
+            assert check_even_regular(ev, random_phi(rng, 2)) <= 1e-9
 
     def test_triangle_is_two_regular(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            assert check_even_regular(K3, random_phi(rng, 2)) <= 1e-9
+            assert check_even_regular(EV3, random_phi(rng, 2)) <= 1e-9
 
     def test_odd_regular_rejected(self):
         with pytest.raises(ValueError, match="even-regular"):
-            check_even_regular(K4, Parameters(gammas=(0.1,), betas=(0.1,)))
+            check_even_regular(EV4, Parameters(gammas=(0.1,), betas=(0.1,)))
 
 
 class TestTildeBeta:
@@ -152,23 +154,23 @@ class TestOddRegular:
     def test_k4_random_depth_three(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            assert check_odd_regular(K4, random_phi(rng, 3)) <= 1e-9
+            assert check_odd_regular(EV4, random_phi(rng, 3)) <= 1e-9
 
     def test_three_regular_depth_four(self):
-        g = gen_random_regular(10, 3, 12)
+        ev = ExpectationEvaluator(gen_random_regular(10, 3, 12))
         rng = np.random.default_rng(11)
         for _ in range(5):
-            assert check_odd_regular(g, random_phi(rng, 4)) <= 1e-9
+            assert check_odd_regular(ev, random_phi(rng, 4)) <= 1e-9
 
     def test_fixed_point_is_exact(self):
         # gamma = pi/2 maps to itself; beta with even-index entries at pi/4
         # satisfies tilde(beta) = beta.
         phi = Parameters(gammas=(math.pi / 2, math.pi / 2), betas=(0.3, math.pi / 4))
-        assert check_odd_regular(K4, phi) == 0.0
+        assert check_odd_regular(EV4, phi) == 0.0
 
     def test_even_regular_rejected(self):
         with pytest.raises(ValueError, match="odd-regular"):
-            check_odd_regular(K3, Parameters(gammas=(0.1,), betas=(0.1,)))
+            check_odd_regular(EV3, Parameters(gammas=(0.1,), betas=(0.1,)))
 
 
 class TestSuite:
