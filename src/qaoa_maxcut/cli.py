@@ -103,9 +103,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         failed = failed or status == "FAIL"
     if args.out is not None:
-        rs = ResultSet(meta={"suite": "symmetry", "samples": args.samples, "seed": seed})
-        rs.symmetry_reports = reports
-        rs.save(args.out)
+        meta = {"suite": "symmetry", "samples": args.samples, "seed": seed}
+        ResultSet(meta=meta, symmetry_reports=reports).save(args.out)
         print(f"wrote {args.out}")
     if failed:
         print(f"verification FAILED (tolerance {DEVIATION_TOLERANCE})", file=sys.stderr)

@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graphs import Graph, classify, gen_erdos_renyi, gen_random_regular, max_cut_brute_force
+from .graphs import Graph, classify, gen_erdos_renyi, gen_random_regular
 from .optimize import Bounds, OptimizerConfig, bounds_for_graph
 from .simulator import MAX_QUBITS, ExpectationEvaluator, Parameters
 from .strategies import STRATEGIES, DepthRecord, StrategyConfig
@@ -58,7 +58,7 @@ def _decode(cls: type, d: object, what: str):
         if f.name in d:
             kwargs[f.name] = _decode_value(hints[f.name], d[f.name], f"{what}.{f.name}")
         elif f.default is MISSING:
-            raise ConfigError(f"{what} {d} is missing the required key {f.name!r}")
+            raise ConfigError(f"{what} is missing the required key {f.name!r}")
     return cls(**kwargs)
 
 
@@ -68,6 +68,8 @@ _SCALARS = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    dict: ((dict,), "a JSON object"),
 }
 
 
@@ -86,6 +88,13 @@ def _decode_value(tp: object, v: object, what: str):
     if type(v) not in accepted:
         raise ConfigError(f"{what} must be {description}, got {json.dumps(v)}")
     return float(v) if tp is float else v
+
+
+def _read_json(path: str | Path) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,8 @@ class InstanceSpec:
                 raise ConfigError(f"{self}: erdos_renyi instance needs an edge probability")
         else:
             raise ConfigError(f"{self}: unknown instance kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"{self}: seed must be >= 0, got {self.seed}")
         if self.n > MAX_QUBITS:
             raise ConfigError(
                 f"instance {self.instance_id}: n={self.n} exceeds the simulator "
@@ -154,10 +165,10 @@ class ExperimentConfig:
             )
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError(f"duplicate strategies in config: {self.strategies}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        minimums = {"max_depth": 1, "trials": 1, "rng_seed": 0, "symmetry_samples": 0}
+        for name, least in minimums.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         ids = [spec.instance_id for spec in self.instances]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate instance ids in config: {ids}")
@@ -175,15 +186,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path))
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One stored record, as a row of the results file."""
+
+    instance: str
+    strategy: str
+    depth: int
+    gammas: tuple[float, ...]
+    betas: tuple[float, ...]
+    f_star: float
+    alpha: float
+    nfev: int
+    converged: bool
+
+
+@dataclass(frozen=True)
+class _Document:
+    """The results file: rows sorted by (instance, strategy, depth)."""
+
+    meta: dict
+    records: tuple[_Row, ...]
+    symmetry_reports: tuple[SymmetryReport, ...] = ()
 
 
 @dataclass
@@ -201,64 +232,26 @@ class ResultSet:
         self.records[key] = record
 
     def to_json(self) -> str:
-        rows = []
-        for (instance_id, strategy, depth) in sorted(self.records):
-            rec = self.records[(instance_id, strategy, depth)]
-            rows.append(
-                {
-                    "instance": instance_id,
-                    "strategy": strategy,
-                    "depth": depth,
-                    "gammas": list(rec.phi_star.gammas),
-                    "betas": list(rec.phi_star.betas),
-                    "f_star": rec.f_star,
-                    "alpha": rec.alpha,
-                    "nfev": rec.nfev_total,
-                    "converged": rec.converged,
-                }
-            )
-        doc = {
-            "meta": self.meta,
-            "records": rows,
-            "symmetry_reports": [
-                {
-                    "transform": r.transform,
-                    "max_abs_deviation": r.max_abs_deviation,
-                    "samples": r.samples,
-                }
-                for r in self.symmetry_reports
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        rows = tuple(
+            _Row(*key, rec.phi_star.gammas, rec.phi_star.betas, rec.f_star, rec.alpha,
+                 rec.nfev_total, rec.converged)
+            for key, rec in sorted(self.records.items())
+        )
+        doc = _Document(self.meta, rows, tuple(self.symmetry_reports))
+        return json.dumps(asdict(doc), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> ResultSet:
-        doc = json.loads(text)
-        try:
-            rs = cls(meta=doc["meta"])
-            for row in doc["records"]:
-                rec = DepthRecord(
-                    depth=int(row["depth"]),
-                    phi_star=Parameters(
-                        gammas=tuple(row["gammas"]), betas=tuple(row["betas"])
-                    ),
-                    f_star=float(row["f_star"]),
-                    alpha=float(row["alpha"]),
-                    nfev_total=int(row["nfev"]),
-                    strategy=row["strategy"],
-                    converged=bool(row["converged"]),
-                )
-                rs.add(row["instance"], rec)
-            rs.symmetry_reports = [
-                SymmetryReport(
-                    transform=r["transform"],
-                    max_abs_deviation=float(r["max_abs_deviation"]),
-                    samples=int(r["samples"]),
-                )
-                for r in doc.get("symmetry_reports", [])
-            ]
-        except KeyError as exc:
-            raise ValueError(f"results file is missing the required key {exc}") from None
+        return cls._from_dict(json.loads(text))
+
+    @classmethod
+    def _from_dict(cls, d: object) -> ResultSet:
+        doc = _decode(_Document, d, "results")
+        rs = cls(meta=doc.meta, symmetry_reports=list(doc.symmetry_reports))
+        for r in doc.records:
+            phi = Parameters(r.gammas, r.betas)
+            record = DepthRecord(r.depth, phi, r.f_star, r.alpha, r.nfev, r.strategy, r.converged)
+            rs.add(r.instance, record)
         return rs
 
     def save(self, path: str | Path) -> None:
@@ -266,7 +259,7 @@ class ResultSet:
 
     @classmethod
     def load(cls, path: str | Path) -> ResultSet:
-        return cls.from_json(Path(path).read_text())
+        return cls._from_dict(_read_json(path))
 
 
 def _strategy_seed(base: int, instance_idx: int, strategy_idx: int) -> int:
@@ -354,10 +347,9 @@ def emit_landscape(g: Graph, resolution: int) -> str:
     gamma in [0, 2*pi), beta in [0, pi), `resolution` points per axis."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    c_max = max_cut_brute_force(g)[0]
-    if c_max < 1:
-        raise ValueError("graph has no edges; landscape is undefined")
     ev = ExpectationEvaluator(g)
+    if ev.c_max < 1:
+        raise ValueError("graph has no edges; landscape is undefined")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["gamma", "beta", "alpha"])
@@ -365,6 +357,6 @@ def emit_landscape(g: Graph, resolution: int) -> str:
         gamma = 2.0 * math.pi * i / resolution
         for j in range(resolution):
             beta = math.pi * j / resolution
-            alpha = ev.expectation(Parameters(gammas=(gamma,), betas=(beta,))) / c_max
+            alpha = ev.expectation(Parameters(gammas=(gamma,), betas=(beta,))) / ev.c_max
             writer.writerow([repr(gamma), repr(beta), repr(alpha)])
     return out.getvalue()

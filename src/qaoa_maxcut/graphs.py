@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,16 +41,10 @@ class Graph:
     """Simple undirected unweighted graph on vertices 0..n-1.
 
     Edges are stored canonically as sorted (lo, hi) pairs in sorted order.
-    `kind`, `degree` and `edge_prob` record how the instance was generated;
-    they are provenance metadata and excluded from equality so that instances
-    survive an edge-list round trip.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    kind: str = field(default="general", compare=False)
-    degree: int | None = field(default=None, compare=False)
-    edge_prob: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -69,10 +63,6 @@ class Graph:
             canonical.append(e)
         canonical.sort()
         object.__setattr__(self, "edges", tuple(canonical))
-        if self.kind == "regular":
-            d = self.degree
-            if d is None or any(deg != d for deg in self.degrees()):
-                raise ValueError(f"graph is not {d}-regular")
 
     @property
     def m(self) -> int:
@@ -116,7 +106,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
                 break
             edges.add(e)
         if ok:
-            return Graph(n=n, edges=tuple(edges), kind="regular", degree=d)
+            return Graph(n=n, edges=tuple(edges))
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
@@ -131,7 +121,7 @@ def gen_erdos_renyi(n: int, prob: float, seed: int) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < prob:
                 edges.append((u, v))
-    return Graph(n=n, edges=tuple(edges), kind="erdos_renyi", edge_prob=prob)
+    return Graph(n=n, edges=tuple(edges))
 
 
 def cut_value(g: Graph, assignment: str) -> int:

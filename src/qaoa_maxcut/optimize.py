@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +43,8 @@ class Bounds:
     beta_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError(f"bounds must be finite: {self}")
         if not (self.gamma_min < self.gamma_max and self.beta_min < self.beta_max):
             raise ValueError(f"degenerate bounds: {self}")
 

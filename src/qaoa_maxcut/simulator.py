@@ -96,7 +96,8 @@ class ExpectationEvaluator:
 
     The cut-value table is computed once and reused by every layer and every
     call; this dominates the cost of strategy runs, where one graph is
-    evaluated thousands of times across depths.
+    evaluated thousands of times across depths. `c_max`, the maximum cut,
+    is read off the same table.
     """
 
     def __init__(self, g: Graph):
@@ -107,6 +108,7 @@ class ExpectationEvaluator:
         # A simple graph on at most MAX_QUBITS = 20 vertices has at most 190
         # edges, so every cut value fits in one byte.
         self._cut_index = self._cuts.astype(np.uint8)
+        self.c_max = int(self._cut_index.max())
 
     def prepare(self, phi: Parameters) -> np.ndarray:
         """|+>^n followed by p alternating (phase separator, mixer) layers."""

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .graphs import Graph, max_cut_brute_force
+from .graphs import Graph
 from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters
 
@@ -140,9 +140,8 @@ def _progress(
     stays frozen in front of it.
     """
     evaluator = ExpectationEvaluator(g)
-    c_max = max_cut_brute_force(g)[0]
-    if c_max < 1:
-        raise ValueError(f"graph has no edges: C_max must be >= 1, got {c_max}")
+    if evaluator.c_max < 1:
+        raise ValueError(f"graph has no edges: C_max must be >= 1, got {evaluator.c_max}")
     records: list[DepthRecord] = []
     for p in range(first, cfg.max_depth + 1):
         frozen = records[-1].phi_star if newest_only and records else None
@@ -163,7 +162,7 @@ def _progress(
                 depth=p,
                 phi_star=_stack(frozen, best.phi_star),
                 f_star=best.f_star,
-                alpha=best.f_star / c_max,
+                alpha=best.f_star / evaluator.c_max,
                 nfev_total=nfev_total,
                 strategy=label,
                 converged=best.converged,

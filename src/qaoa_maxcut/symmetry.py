@@ -154,6 +154,8 @@ def run_symmetry_suite(
     report the worst deviation per transform."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_p < 1:
         raise ValueError(f"max_p must be >= 1, got {max_p}")
     rng = np.random.default_rng(seed)

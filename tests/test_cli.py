@@ -31,6 +31,24 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+ROW = {
+    "instance": "reg1-n2-s0",
+    "strategy": "bilinear",
+    "depth": 1,
+    "gammas": [0.3],
+    "betas": [0.4],
+    "f_star": 1.0,
+    "alpha": 1.0,
+    "nfev": 9,
+    "converged": True,
+}
+
+
+def one_row(**changes):
+    """A results document whose single record is ROW with `changes` applied."""
+    return {"meta": {}, "records": [{**ROW, **changes}]}
+
+
 class TestGen:
     def test_writes_edge_lists(self, config_path, tmp_path):
         out = tmp_path / "instances"
@@ -188,6 +206,16 @@ class TestBadInputs:
                 {"instances": [{"kind": "regular", "n": 22, "degree": 3, "seed": 0}]},
                 "instance reg3-n22-s0: n=22 exceeds",
             ),
+            ({"symmetry_samples": -5}, "symmetry_samples must be >= 0, got -5"),
+            ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),
+            (
+                {"instances": [{"kind": "regular", "n": 4, "degree": 3, "seed": -1}]},
+                "seed must be >= 0, got -1",
+            ),
+            (
+                {"bounds": dict(gamma_min=0, gamma_max=1e400, beta_min=0, beta_max=1)},
+                "bounds must be finite",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -199,6 +227,10 @@ class TestBadInputs:
             "string-degree",
             "string-prob",
             "n-too-large",
+            "negative-symmetry-samples",
+            "negative-rng-seed",
+            "negative-instance-seed",
+            "infinite-bound",
         ],
     )
     def test_malformed_config_fails_cleanly(self, change, fragment, tmp_path, capsys):
@@ -207,36 +239,82 @@ class TestBadInputs:
         assert_one_error_line(capsys, fragment)
 
     @pytest.mark.parametrize(
-        "doc, key",
+        "doc, fragment",
         [
-            ({}, "'meta'"),
+            ({}, "results is missing the required key 'meta'"),
+            (
+                {"meta": {}, "records": [{k: v for k, v in ROW.items() if k != "gammas"}]},
+                "results.records[0] is missing the required key 'gammas'",
+            ),
+            ([], "results must be a JSON object, got list"),
+            (one_row(gammas=5), "results.records[0].gammas must be a JSON list, got 5"),
+            (one_row(gammas="0.3"), 'results.records[0].gammas must be a JSON list, got "0.3"'),
+            (one_row(depth=1.9), "results.records[0].depth must be an integer, got 1.9"),
+            (one_row(depth="1"), 'results.records[0].depth must be an integer, got "1"'),
+            (one_row(nfev=9.7), "results.records[0].nfev must be an integer, got 9.7"),
+            (
+                one_row(converged="false"),
+                'results.records[0].converged must be true or false, got "false"',
+            ),
+            (one_row(nfve=9), "results.records[0] has unknown key(s) 'nfve'"),
+            ({"meta": {}, "records": {}}, "results.records must be a JSON list, got {}"),
+            ({"meta": [], "records": []}, "results.meta must be a JSON object, got []"),
             (
                 {
                     "meta": {},
-                    "records": [
-                        {
-                            "instance": "reg1-n2-s0",
-                            "strategy": "bilinear",
-                            "depth": 1,
-                            "betas": [0.4],
-                            "f_star": 1.0,
-                            "alpha": 1.0,
-                            "nfev": 9,
-                            "converged": True,
-                        }
+                    "records": [],
+                    "symmetry_reports": [
+                        {"transform": "angle_reversal", "max_abs_deviation": 0.0, "samples": "5"}
                     ],
                 },
-                "'gammas'",
+                "results.symmetry_reports[0].samples must be an integer",
             ),
+            (one_row(depth=2), "record depth 2 != parameter depth 1"),
         ],
-        ids=["empty-document", "record-without-gammas"],
+        ids=[
+            "empty-document",
+            "record-without-gammas",
+            "list-document",
+            "int-gammas",
+            "string-gammas",
+            "float-depth",
+            "string-depth",
+            "float-nfev",
+            "string-converged",
+            "unknown-key",
+            "object-records",
+            "list-meta",
+            "string-samples",
+            "depth-disagrees-with-angles",
+        ],
     )
-    def test_malformed_results_fail_cleanly(self, doc, key, tmp_path, capsys):
+    def test_malformed_results_fail_cleanly(self, doc, fragment, tmp_path, capsys):
         path = self.write(tmp_path, doc)
         assert run_cli("table", "--results", path) == 1
-        assert_one_error_line(capsys, f"missing the required key {key}")
+        assert_one_error_line(capsys, fragment)
+
+    def test_results_that_are_not_json_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        path.write_text("{not json")
+        assert run_cli("table", "--results", path) == 1
+        assert_one_error_line(capsys, f"{path}: not valid JSON")
 
     @pytest.mark.parametrize("flag, name", [("--max-p", "max_p"), ("--samples", "samples")])
     def test_verify_rejects_zero(self, flag, name, capsys):
         assert run_cli("verify", flag, 0) == 1
         assert_one_error_line(capsys, f"{name} must be >= 1")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--out", "{tmp}/out", "--config", "{config}"],
+            ["gen", "--out", "{tmp}/out", "--config", "{config}"],
+            ["landscape", "--kind", "regular", "--n", "4", "--degree", "3"],
+            ["verify"],
+        ],
+        ids=["run", "gen", "landscape", "verify"],
+    )
+    def test_negative_seed_rejected(self, command, config_path, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path, config=config_path) for a in command]
+        assert run_cli(*argv, "--seed", -1) == 1
+        assert_one_error_line(capsys, "seed must be >= 0, got -1")

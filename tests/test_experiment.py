@@ -19,7 +19,9 @@ from qaoa_maxcut.experiment import (
 )
 from qaoa_maxcut.graphs import Graph
 from qaoa_maxcut.optimize import Bounds, OptimizerConfig
-from qaoa_maxcut.strategies import STRATEGIES
+from qaoa_maxcut.simulator import Parameters
+from qaoa_maxcut.strategies import STRATEGIES, DepthRecord
+from qaoa_maxcut.symmetry import SymmetryReport
 
 K2_SPEC = InstanceSpec(kind="regular", n=2, degree=1, seed=0)
 K2 = Graph(n=2, edges=((0, 1),))
@@ -77,6 +79,38 @@ _configs = st.builds(
     bounds=st.none() | st.builds(lambda g, b: Bounds(*g, *b), _box(_finite), _box(_finite)),
     symmetry_samples=st.integers(0, 1000),
 )
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _result_sets(draw):
+    rs = ResultSet(meta=draw(st.dictionaries(st.text(max_size=5), _json_values, max_size=4)))
+    keys = st.tuples(st.text(max_size=6), st.text(max_size=6), st.integers(1, 3))
+    for instance, strategy, depth in draw(st.lists(keys, max_size=6, unique=True)):
+        angles = st.lists(_finite, min_size=depth, max_size=depth).map(tuple)
+        record = DepthRecord(
+            depth=depth,
+            phi_star=Parameters(gammas=draw(angles), betas=draw(angles)),
+            f_star=draw(_finite),
+            alpha=draw(_finite),
+            nfev_total=draw(st.integers(0, 10**9)),
+            strategy=strategy,
+            converged=draw(st.booleans()),
+        )
+        rs.add(instance, record)
+    reports = st.builds(
+        SymmetryReport,
+        transform=st.text(max_size=8),
+        max_abs_deviation=_finite,
+        samples=st.integers(1, 1000),
+    )
+    rs.symmetry_reports = draw(st.lists(reports, max_size=3))
+    return rs
 
 
 def parse_csv(text):
@@ -213,6 +247,14 @@ class TestResultSet:
     def test_json_round_trip_lossless(self):
         rs = run_experiment(small_config(symmetry_samples=2))
         assert ResultSet.from_json(rs.to_json()) == rs
+
+    @settings(max_examples=200, deadline=None)
+    @given(_result_sets())
+    def test_json_round_trip_of_any_result_set(self, rs):
+        text = rs.to_json()
+        back = ResultSet.from_json(text)
+        assert back == rs
+        assert back.to_json() == text
 
     def test_duplicate_key_rejected(self):
         rs = run_experiment(small_config(max_depth=1, trials=2))
