@@ -89,8 +89,9 @@ class OptimizerConfig:
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        if self.gradient_step <= 0 or self.convergence_tolerance <= 0 or self.max_iterations <= 0:
-            raise ValueError(f"optimizer settings must be positive: {self}")
+        # Written as a range test so that NaN, which compares false, fails it.
+        if not all(0 < x < math.inf for x in astuple(self)):
+            raise ValueError(f"optimizer settings must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)

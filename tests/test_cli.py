@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -216,6 +217,9 @@ class TestBadInputs:
                 {"bounds": dict(gamma_min=0, gamma_max=1e400, beta_min=0, beta_max=1)},
                 "bounds must be finite",
             ),
+            ({"optimizer": {"gradient_step": math.nan}}, "must be positive and finite"),
+            ({"optimizer": {"convergence_tolerance": math.nan}}, "must be positive and finite"),
+            ({"optimizer": {"gradient_step": math.inf}}, "must be positive and finite"),
         ],
         ids=[
             "unknown-key",
@@ -231,6 +235,9 @@ class TestBadInputs:
             "negative-rng-seed",
             "negative-instance-seed",
             "infinite-bound",
+            "nan-gradient-step",
+            "nan-convergence-tolerance",
+            "infinite-gradient-step",
         ],
     )
     def test_malformed_config_fails_cleanly(self, change, fragment, tmp_path, capsys):

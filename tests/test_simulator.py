@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph, cut_table, gen_erdos_renyi, max_cut_brute_force
 from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, Bounds, _fd_gradient, maximize_bounded
 from qaoa_maxcut.simulator import (
@@ -296,3 +299,115 @@ class TestInvariants:
         a = mixed(mixed(state, 0.3), 0.9)
         b = mixed(state, 1.2)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+# Angles for the prefix-reuse checks: ordinary values plus the two zeros,
+# which are equal as floats but not as bits, and NaN, which is neither.
+_angle = st.floats(-7.0, 7.0) | st.sampled_from([0.0, -0.0, math.nan])
+
+
+def _layers(p: int):
+    return st.lists(st.tuples(_angle, _angle), min_size=p, max_size=p)
+
+
+def _phi(layers) -> Parameters:
+    return Parameters(gammas=tuple(g for g, _ in layers), betas=tuple(b for _, b in layers))
+
+
+class TestPrefixReuse:
+    """An evaluator resumes each call from the layers it shares with the last
+    one; every result must equal a fresh evaluator's bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_call_sequences_match_a_fresh_evaluator(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        g = gen_erdos_renyi(n, 0.6, data.draw(st.integers(0, 50), label="graph seed"))
+        ev = ExpectationEvaluator(g)
+        layers = data.draw(_layers(data.draw(st.integers(1, 5))), label="first call")
+        for _ in range(data.draw(st.integers(1, 12), label="calls")):
+            phi = _phi(layers)
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+            assert ev.prepare(phi).tobytes() == ExpectationEvaluator(g).prepare(phi).tobytes()
+            move = data.draw(
+                st.sampled_from(["coordinate", "repeat", "deeper", "shallower", "fresh"])
+            )
+            if move == "coordinate":
+                j = data.draw(st.integers(0, len(layers) - 1))
+                pair = list(layers[j])
+                pair[data.draw(st.integers(0, 1))] = data.draw(_angle)
+                layers = layers[:j] + [tuple(pair)] + layers[j + 1 :]
+            elif move == "deeper":
+                layers = layers + data.draw(_layers(1))
+            elif move == "shallower" and len(layers) > 1:
+                layers = layers[:-1]
+            elif move == "fresh":
+                layers = data.draw(_layers(data.draw(st.integers(1, 5))))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+    def test_signed_zero_prefix_is_not_confused(self, zero):
+        g = gen_erdos_renyi(5, 0.6, 1)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters(gammas=(-zero, 0.3, 0.5), betas=(0.2, -zero, 0.1)))
+        phi = Parameters(gammas=(zero, 0.3, 0.4), betas=(0.2, zero, 0.1))
+        assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+        assert ev.prepare(phi).tobytes() == ExpectationEvaluator(g).prepare(phi).tobytes()
+
+    def test_nan_layer_is_never_resumed(self, monkeypatch):
+        ev = ExpectationEvaluator(K3)
+        phi = Parameters(gammas=(math.nan, 0.3), betas=(0.2, 0.1))
+        assert math.isnan(ev.expectation(phi))
+        calls = []
+        monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: calls.append(a))
+        ev.expectation(phi)
+        assert len(calls) == 2
+
+    def test_writing_into_a_returned_state_changes_no_later_result(self):
+        g = gen_erdos_renyi(6, 0.6, 3)
+        phi = random_phi(np.random.default_rng(37), 4)
+        nudged = Parameters(gammas=phi.gammas, betas=phi.betas[:-1] + (0.25,))
+        ev = ExpectationEvaluator(g)
+        for call in (phi, phi, nudged, phi):
+            ev.prepare(call)[:] = 7.0
+            assert ev.prepare(call).tobytes() == ExpectationEvaluator(g).prepare(call).tobytes()
+            assert ev.expectation(call) == ExpectationEvaluator(g).expectation(call)
+
+    def test_frozen_prefix_applies_one_mixer_per_call(self, monkeypatch):
+        # The layerwise strategy's calls: p - 1 frozen layers, the last one varying.
+        kernel = simulator._mixer_kernel
+        calls = []
+
+        def counting(state, beta, n):
+            calls.append(beta)
+            kernel(state, beta, n)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
+        rng = np.random.default_rng(41)
+        frozen = random_phi(rng, 5)
+        ev = ExpectationEvaluator(gen_erdos_renyi(6, 0.6, 4))
+        for gamma, beta in rng.uniform(0, 1, (10, 2)):
+            ev.expectation(
+                Parameters(gammas=frozen.gammas + (gamma,), betas=frozen.betas + (beta,))
+            )
+        assert len(calls) == 6 + 9
+
+    def test_a_call_that_raises_leaves_no_stale_prefix(self, monkeypatch):
+        g = gen_erdos_renyi(6, 0.6, 5)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters(gammas=(0.1, 0.2, 0.3), betas=(0.4, 0.5, 0.6)))
+        kernel = simulator._mixer_kernel
+        calls = []
+
+        def failing_second(state, beta, n):
+            calls.append(beta)
+            if len(calls) == 2:
+                raise MemoryError
+            kernel(state, beta, n)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", failing_second)
+        with pytest.raises(MemoryError):
+            ev.expectation(Parameters(gammas=(0.9, 0.2, 0.3), betas=(0.4, 0.5, 0.6)))
+        monkeypatch.setattr(simulator, "_mixer_kernel", kernel)
+        # Shares layer 1 with the call that completed, not with the one that raised.
+        phi = Parameters(gammas=(0.1, 0.7, 0.3), betas=(0.4, 0.5, 0.6))
+        assert ev.expectation(phi) == ExpectationEvaluator(g).expectation(phi)
