@@ -146,9 +146,13 @@ def _cut_values_at(g: Graph, indices: np.ndarray) -> np.ndarray:
 
 def cut_table(g: Graph) -> np.ndarray:
     """Cut value of every basis state, indexed with vertex 0 as the least
-    significant bit. Length 2^n, dtype float64 (ready to dot with probabilities)."""
-    indices = np.arange(1 << g.n, dtype=np.int64)
-    return _cut_values_at(g, indices).astype(np.float64)
+    significant bit. Length 2^n, dtype float64 (ready to dot with probabilities).
+
+    Only the low half (vertex n-1 on side 0) is enumerated: the complement of
+    index z < 2^(n-1) is 2^n - 1 - z, so the high half is the low half reversed.
+    """
+    half = _cut_values_at(g, np.arange(1 << (g.n - 1), dtype=np.int64)).astype(np.float64)
+    return np.concatenate((half, half[::-1]))
 
 
 def max_cut_brute_force(g: Graph) -> tuple[int, str]:
@@ -190,11 +194,10 @@ def read_edge_list(path: str | Path) -> Graph:
     tokens = Path(path).read_text().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, found {(len(tokens) - 2) // 2}")
-    pairs = tokens[2:]
-    edges = tuple(
-        (int(pairs[2 * i]), int(pairs[2 * i + 1])) for i in range(m)
-    )
-    return Graph(n=n, edges=edges)
+    bad = next((t for t in tokens if not t.isdecimal()), None)
+    if bad is not None:
+        raise ValueError(f"{path}: expected non-negative integers, found {bad!r}")
+    n, m, *ends = map(int, tokens)
+    if len(ends) != 2 * m:
+        raise ValueError(f"{path}: expected {m} edges, found {len(ends) // 2}")
+    return Graph(n=n, edges=tuple(zip(ends[::2], ends[1::2])))

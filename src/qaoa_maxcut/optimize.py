@@ -152,8 +152,13 @@ def _fd_gradient(
     # Central differences with probes clamped into the box, so every counted
     # evaluation is at a feasible point; at an active bound this degrades to a
     # one-sided difference over the actual spread.
+    # For the flat layout [gammas, betas] the coordinates are probed layer by
+    # layer from the last, so each probe shares every earlier layer with the
+    # point before it and an evaluator resumes from there. The values, and so
+    # the gradient, do not depend on the order; any length is visited whole.
+    p = max(1, x.size // 2)
     grad = np.empty_like(x)
-    for k in range(x.size):
+    for k in sorted(range(x.size), key=lambda i: -(i % p)):
         hi = min(x[k] + step, upper[k])
         lo = max(x[k] - step, lower[k])
         xp, xm = x.copy(), x.copy()

@@ -3,6 +3,13 @@
 Basis-state index convention: vertex 0 is the least significant bit, so the
 amplitude at index z belongs to the assignment whose vertex-j side is bit j
 of z. States are dense complex128 arrays of length 2^n.
+
+Swapping every vertex's side leaves each cut value and |+>^n unchanged, so
+every ansatz state has amp(z) = amp(z^) for the complement z^ of z, and the
+kernels build the two from the same products, bit for bit. The evaluator
+therefore stores and updates only the low half, the 2^(n-1) amplitudes with
+vertex n-1 on side 0; the high half is the low half reversed. `prepare`
+returns the full 2^n state, mirrored from the half.
 """
 
 from __future__ import annotations
@@ -74,7 +81,8 @@ def _phase_kernel(state: np.ndarray, cuts: np.ndarray, gamma: float) -> None:
 
 
 def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
-    """In place: apply exp(-i * beta * X) to each of the n qubits."""
+    """In place: apply exp(-i * beta * X) to each of the n qubits of a
+    flip-symmetric state, given as its low half (length 2^(n-1))."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
     # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-state ops.
     # One scratch state serves every pass; a fresh one per pass raised the
@@ -82,13 +90,18 @@ def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
     c = math.cos(beta)
     s = -1j * math.sin(beta)
     scratch = np.empty_like(state)
-    for q in range(n):
+    for q in range(n - 1):
         shape = (-1, 2, 1 << q)
         view = state.reshape(shape)
         swapped = scratch.reshape(shape)
         np.multiply(view[:, ::-1, :], s, out=swapped)
         view *= c
         view += swapped
+    # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
+    # complement 2^(n-1) - 1 - z: the low half reversed.
+    np.multiply(state[::-1], s, out=scratch)
+    state *= c
+    state += scratch
 
 
 class ExpectationEvaluator:
@@ -106,9 +119,10 @@ class ExpectationEvaluator:
     whose (gamma_j, beta_j) pairs, and all before it, are bit-equal to the
     last call's (a NaN angle never matches). A resumed state comes from the
     same kernel calls on the same bits, so every result is bit-identical to
-    a fresh evaluator's. The stored states cost up to (p-1) * 2^n * 16
-    bytes at the deepest p seen, 112 MiB at n = 20, p = 8. Because calls
-    read and write them, an evaluator must not be shared between threads.
+    a fresh evaluator's. States are held as their low half (see the module
+    docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
+    the deepest p seen, 56 MiB at n = 20, p = 8. Because calls read and
+    write them, an evaluator must not be shared between threads.
     """
 
     def __init__(self, g: Graph):
@@ -117,8 +131,9 @@ class ExpectationEvaluator:
         self.graph = g
         self._cuts = cut_table(g)
         # A simple graph on at most MAX_QUBITS = 20 vertices has at most 190
-        # edges, so every cut value fits in one byte.
-        self._cut_index = self._cuts.astype(np.uint8)
+        # edges, so every cut value fits in one byte. The phase kernel needs
+        # the low half only; it holds every value, as cut(z) = cut(z^).
+        self._cut_index = self._cuts[: 1 << (g.n - 1)].astype(np.uint8)
         self.c_max = int(self._cut_index.max())
         # Rows (gammas, betas) of the last call, and _after[j], the state
         # after its layers 1..j+1, for j < p - 1. Buffers are reused in place.
@@ -133,18 +148,15 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=0)
         return int(np.logical_and.accumulate(same).sum())
 
-    def prepare(self, phi: Parameters) -> np.ndarray:
-        """|+>^n followed by p alternating (phase separator, mixer) layers.
-
-        The returned array is new on every call; the caller owns it.
-        """
+    def _half(self, phi: Parameters) -> np.ndarray:
+        """The low half of the ansatz state, in a new array."""
         n = self.graph.n
         angles = np.array((phi.gammas, phi.betas))
         k = self._shared_layers(angles)
         if k:
             state = self._after[k - 1].copy()
         else:
-            state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+            state = np.full(1 << (n - 1), 2.0 ** (-n / 2), dtype=complex)
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
@@ -159,11 +171,21 @@ class ExpectationEvaluator:
         self._angles = angles
         return state
 
+    def prepare(self, phi: Parameters) -> np.ndarray:
+        """|+>^n followed by p alternating (phase separator, mixer) layers.
+
+        The returned full state is new on every call; the caller owns it.
+        """
+        half = self._half(phi)
+        return np.concatenate((half, half[::-1]))
+
     def expectation(self, phi: Parameters) -> float:
         """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z)."""
-        state = self.prepare(phi)
-        probs = state.real**2 + state.imag**2
-        return float(probs @ self._cuts)
+        half = self._half(phi)
+        probs = half.real**2 + half.imag**2
+        # The full vector, summed in index order: 2 * (probs @ low cuts) would
+        # round differently and move the optimizer's path.
+        return float(np.concatenate((probs, probs[::-1])) @ self._cuts)
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

@@ -306,6 +306,17 @@ class TestBadInputs:
         assert run_cli("table", "--results", path) == 1
         assert_one_error_line(capsys, f"{path}: not valid JSON")
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [("2 1\n0 1.5\n", "'1.5'"), ("x y\n", "'x'")],
+        ids=["float-vertex", "word-header"],
+    )
+    def test_malformed_edge_list_names_the_file(self, text, token, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert run_cli("landscape", "--edges", path, "--resolution", 3) == 1
+        assert_one_error_line(capsys, f"{path}: ", token)
+
     @pytest.mark.parametrize("flag, name", [("--max-p", "max_p"), ("--samples", "samples")])
     def test_verify_rejects_zero(self, flag, name, capsys):
         assert run_cli("verify", flag, 0) == 1

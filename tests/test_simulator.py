@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_maxcut import simulator
-from qaoa_maxcut.graphs import Graph, cut_table, gen_erdos_renyi, max_cut_brute_force
+from qaoa_maxcut.graphs import (
+    Graph,
+    cut_table,
+    gen_erdos_renyi,
+    gen_random_regular,
+    max_cut_brute_force,
+)
 from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, Bounds, _fd_gradient, maximize_bounded
 from qaoa_maxcut.simulator import (
     ExpectationEvaluator,
@@ -33,9 +39,18 @@ def phased(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
 
 
 def mixed(state: np.ndarray, beta: float) -> np.ndarray:
-    out = state.copy()
-    _mixer_kernel(out, beta, out.size.bit_length() - 1)
-    return out
+    # The kernel takes a flip-symmetric state, amp(z) = amp(z^), as its low
+    # half; the complement of z is 2^n - 1 - z, so the state is a palindrome.
+    assert np.array_equal(state, state[::-1]), "mixer input must be flip-symmetric"
+    out = state[: state.size // 2].copy()
+    _mixer_kernel(out, beta, state.size.bit_length() - 1)
+    return np.concatenate((out, out[::-1]))
+
+
+def mirrored(v: np.ndarray) -> np.ndarray:
+    """The flip-symmetric state whose low half is v, normalized."""
+    state = np.concatenate((v, v[::-1]))
+    return state / np.linalg.norm(state)
 
 
 def fd_gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
@@ -51,6 +66,25 @@ def fd_gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) 
 def k2_closed_form(gamma: float, beta: float) -> float:
     # Single-edge depth-1 expectation, from a 2x2-kernel hand calculation.
     return 0.5 * (1.0 + math.sin(4.0 * beta) * math.sin(gamma))
+
+
+def depth_one_closed_form(g: Graph, gamma: float, beta: float) -> float:
+    # Wang, Hadfield, Jiang and Rieffel 2018 (arXiv:1706.02998): the p = 1
+    # expectation of one edge (u, v) depends only on a = deg(u) - 1,
+    # b = deg(v) - 1 and the number t of triangles on the edge.
+    adjacent = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    cos_g = math.cos(gamma)
+    total = 0.0
+    for u, v in g.edges:
+        a, b = len(adjacent[u]) - 1, len(adjacent[v]) - 1
+        t = len(adjacent[u] & adjacent[v])
+        linear = math.sin(4 * beta) * math.sin(gamma) * (cos_g**a + cos_g**b)
+        triangles = math.sin(2 * beta) ** 2 * cos_g ** (a + b - 2 * t) * (1 - math.cos(2 * gamma) ** t)
+        total += 0.5 + 0.25 * linear - 0.25 * triangles
+    return total
 
 
 def random_phi(rng, p, gamma_hi=2 * math.pi, beta_hi=math.pi) -> Parameters:
@@ -113,17 +147,18 @@ class TestMixer:
         np.testing.assert_array_equal(mixed(state, 0.0), state)
 
     def test_beta_half_pi_flips_all_bits(self):
+        # On (|z> + |z^>)/sqrt(2), X on every qubit swaps the two terms.
         n = 3
         for z in (0, 3, 5):
             state = np.zeros(2**n, dtype=complex)
-            state[z] = 1.0
+            state[z] = state[z ^ (2**n - 1)] = 2**-0.5
             out = mixed(state, math.pi / 2)
             expected = np.zeros(2**n, dtype=complex)
-            expected[z ^ (2**n - 1)] = (-1j) ** n
+            expected[z ^ (2**n - 1)] = expected[z] = (-1j) ** n * 2**-0.5
             np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_single_qubit_quarter_pi(self):
-        state = np.array([1.0, 0.0], dtype=complex)
+        state = np.array([2**-0.5, 2**-0.5], dtype=complex)
         out = mixed(state, math.pi / 4)
         kernel = np.array(
             [
@@ -137,8 +172,7 @@ class TestMixer:
         rng = np.random.default_rng(4)
         beta = 0.7312
         n = 3
-        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        state /= np.linalg.norm(state)
+        state = mirrored(rng.normal(size=2 ** (n - 1)) + 1j * rng.normal(size=2 ** (n - 1)))
         kernel = np.array(
             [
                 [math.cos(beta), -1j * math.sin(beta)],
@@ -235,6 +269,45 @@ class TestDenseOracle:
             expectation_dense_oracle(g, Parameters(gammas=(0.1,), betas=(0.2,)))
 
 
+class TestClosedFormOracle:
+    """Checks independent of the dense oracle, at sizes it cannot reach."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        q=st.floats(0.0, 1.0),
+        seed=st.integers(0, 1000),
+        gamma=st.floats(0.0, 2 * math.pi),
+        beta=st.floats(0.0, math.pi),
+    )
+    def test_depth_one_matches_closed_form(self, n, q, seed, gamma, beta):
+        g = gen_erdos_renyi(n, q, seed)
+        phi = Parameters(gammas=(gamma,), betas=(beta,))
+        f = ExpectationEvaluator(g).expectation(phi)
+        assert abs(f - depth_one_closed_form(g, gamma, beta)) <= 1e-9
+
+    # Values of the full 2^n-state computation, which the half-state kernels
+    # must reproduce bit for bit: a variant that is close but not bit-equal
+    # would move optimizer paths, and so nfev.
+    @pytest.mark.parametrize(
+        "n, p, expected",
+        [
+            (12, 1, "0x1.32971842092c8p+3"),
+            (12, 3, "0x1.788d2f2681e77p+3"),
+            (16, 1, "0x1.a2b1ca7d0f3a0p+3"),
+            (16, 3, "0x1.082fa187c90e4p+4"),
+            (20, 1, "0x1.03d38ea738f48p+4"),
+            (20, 3, "0x1.3f2d8696c0a18p+4"),
+        ],
+    )
+    def test_pinned_values_are_bit_exact(self, n, p, expected):
+        phi = Parameters(
+            gammas=tuple(0.3 + 0.1 * j for j in range(p)),
+            betas=tuple(0.7 - 0.2 * j for j in range(p)),
+        )
+        assert ExpectationEvaluator(gen_random_regular(n, 3, 1)).expectation(phi).hex() == expected
+
+
 class TestGradient:
     def test_k2_stationary_at_origin(self):
         phi = Parameters(gammas=(0.0,), betas=(0.0,))
@@ -294,8 +367,7 @@ class TestInvariants:
 
     def test_mixer_composes_additively(self):
         rng = np.random.default_rng(5)
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state /= np.linalg.norm(state)
+        state = mirrored(rng.normal(size=4) + 1j * rng.normal(size=4))
         a = mixed(mixed(state, 0.3), 0.9)
         b = mixed(state, 1.2)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -390,6 +462,29 @@ class TestPrefixReuse:
                 Parameters(gammas=frozen.gammas + (gamma,), betas=frozen.betas + (beta,))
             )
         assert len(calls) == 6 + 9
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_gradient_probes_resume_from_the_base_point(self, p, monkeypatch):
+        # After an objective call at x, each of the 4 probes of layer j
+        # (1-based) computes layers j..p: 4 * (p + (p - 1) + ... + 1) in all.
+        ev = ExpectationEvaluator(gen_erdos_renyi(6, 0.6, 4))
+        x = random_phi(np.random.default_rng(43), p).to_array()
+
+        def objective(y):
+            return ev.expectation(Parameters.from_array(y))
+
+        objective(x)
+        kernel = simulator._mixer_kernel
+        calls = []
+
+        def counting(state, beta, n):
+            calls.append(beta)
+            kernel(state, beta, n)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
+        unbounded = np.full(x.size, np.inf)
+        _fd_gradient(objective, x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)
+        assert len(calls) == 2 * p * (p + 1)
 
     def test_a_call_that_raises_leaves_no_stale_prefix(self, monkeypatch):
         g = gen_erdos_renyi(6, 0.6, 5)
