@@ -136,12 +136,21 @@ def cut_value(g: Graph, assignment: str) -> int:
     return sum(1 for j, k in g.edges if assignment[j] != assignment[k])
 
 
-def _cut_values_at(g: Graph, indices: np.ndarray) -> np.ndarray:
-    """Cut values for basis-state indices; bit j of an index is vertex j's side."""
-    acc = np.zeros(indices.shape, dtype=np.int64)
+def _cut_values(g: Graph, fixed: int) -> np.ndarray:
+    """Cut value of every assignment with vertex `fixed` on side 0, in
+    increasing basis-state index (bit j is vertex j's side). Length 2^(n-1).
+
+    The assignments form an (n-1)-axis grid, one axis per free vertex with
+    the lowest vertex last; each edge adds the XOR of its endpoints' side
+    planes, broadcast over the grid, into a one- or two-byte accumulator.
+    """
+    free = [v for v in reversed(range(g.n)) if v != fixed]
+    sides = dict(zip(free, np.ix_(*[np.arange(2, dtype=np.uint8)] * len(free))))
+    sides[fixed] = np.uint8(0)
+    acc = np.zeros((2,) * len(free), dtype=np.uint8 if g.m <= 255 else np.uint16)
     for j, k in g.edges:
-        acc += (indices >> j ^ indices >> k) & 1
-    return acc
+        acc += sides[j] ^ sides[k]
+    return acc.reshape(-1)
 
 
 def cut_table(g: Graph) -> np.ndarray:
@@ -151,7 +160,7 @@ def cut_table(g: Graph) -> np.ndarray:
     Only the low half (vertex n-1 on side 0) is enumerated: the complement of
     index z < 2^(n-1) is 2^n - 1 - z, so the high half is the low half reversed.
     """
-    half = _cut_values_at(g, np.arange(1 << (g.n - 1), dtype=np.int64)).astype(np.float64)
+    half = _cut_values(g, g.n - 1).astype(np.float64)
     return np.concatenate((half, half[::-1]))
 
 
@@ -165,10 +174,9 @@ def max_cut_brute_force(g: Graph) -> tuple[int, str]:
         raise ValueError(
             f"brute force supports n <= {BRUTE_FORCE_MAX_VERTICES}, got n={g.n}"
         )
-    indices = np.arange(0, 1 << g.n, 2, dtype=np.int64)
-    cuts = _cut_values_at(g, indices)
+    cuts = _cut_values(g, 0)
     best = int(np.argmax(cuts))
-    z = int(indices[best])
+    z = 2 * best
     assignment = "".join(str(z >> i & 1) for i in range(g.n))
     return int(cuts[best]), assignment
 

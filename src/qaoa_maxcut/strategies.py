@@ -10,11 +10,12 @@ layerwise are multistart baselines whose nfev totals sum over all trials.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .graphs import Graph
 from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
@@ -171,17 +172,40 @@ def _progress(
     return records
 
 
+def _halton(count: int, d: int, seed: list[int]) -> np.ndarray:
+    """`count` Owen-scrambled Halton points in [0, 1)^d (arXiv:1706.02808),
+    byte for byte scipy 1.17's `qmc.Halton(d, scramble=True,
+    seed=np.random.default_rng(seed)).random(count)`: per prime base b, one
+    shuffled digit permutation per b^-k a double resolves, drawn from a
+    child of that generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    primes = (b for b in itertools.count(2) if all(b % q for q in range(2, b)))
+    columns = []
+    for b in itertools.islice(primes, d):
+        perms = [np.arange(b) for _ in range(math.ceil(54 / math.log2(b)) - 1)]
+        for perm in perms:
+            rng.shuffle(perm)
+        digits = [perm.tolist() for perm in perms]
+        column = []
+        for i in range(count):
+            x, scale = 0.0, 1.0 / b
+            for perm in digits:
+                x += perm[i % b] * scale
+                scale /= b
+                i //= b
+            column.append(x)
+        columns.append(column)
+    return np.array(columns).T
+
+
 def _exhaustion_starts(p: int, cfg: StrategyConfig) -> list[Parameters]:
     """One start at the zero corner, the rest a seeded low-discrepancy set."""
     b = cfg.bounds
     corner = clamp(Parameters(gammas=(0.0,) * p, betas=(0.0,) * p), b)
     starts = [corner]
     if cfg.trials > 1:
-        sampler = qmc.Halton(
-            d=2 * p, scramble=True, seed=np.random.default_rng([cfg.rng_seed, p])
-        )
         lower, upper = b.box(p)
-        points = qmc.scale(sampler.random(cfg.trials - 1), lower, upper)
+        points = _halton(cfg.trials - 1, 2 * p, [cfg.rng_seed, p]) * (upper - lower) + lower
         starts.extend(Parameters.from_array(x) for x in points)
     return starts
 

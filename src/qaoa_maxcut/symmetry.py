@@ -8,6 +8,7 @@ accumulated roundoff indicates a simulator or transform bug.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,13 +127,14 @@ def _random_phi(rng: np.random.Generator, p: int) -> Parameters:
 
 
 def _suite_graphs(rng: np.random.Generator, max_n: int) -> dict[str, list[Graph]]:
-    """Instance pools per graph class, n <= max_n."""
+    """Instance pools per graph class, n <= max_n; 3-regular sizes round down
+    to even. The 4-regular graph needs max_n >= 5."""
     seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=8)]
     general = [
-        gen_erdos_renyi(6, 0.5, seeds[0]),
-        gen_erdos_renyi(8, 0.7, seeds[1]),
+        gen_erdos_renyi(min(6, max_n), 0.5, seeds[0]),
+        gen_erdos_renyi(min(8, max_n), 0.7, seeds[1]),
         gen_erdos_renyi(min(10, max_n), 0.4, seeds[2]),
-        gen_random_regular(min(10, max_n), 3, seeds[3]),
+        gen_random_regular(min(10, max_n) // 2 * 2, 3, seeds[3]),
     ]
     even = [
         Graph(n=3, edges=((0, 1), (1, 2), (0, 2))),  # triangle, 2-regular
@@ -141,8 +143,8 @@ def _suite_graphs(rng: np.random.Generator, max_n: int) -> dict[str, list[Graph]
     ]
     odd = [
         Graph(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),  # K4
-        gen_random_regular(min(8, max_n), 3, seeds[6]),
-        gen_random_regular(min(10, max_n), 3, seeds[7]),
+        gen_random_regular(min(8, max_n) // 2 * 2, 3, seeds[6]),
+        gen_random_regular(min(10, max_n) // 2 * 2, 3, seeds[7]),
     ]
     return {"general": general, "even_regular": even, "odd_regular": odd}
 
@@ -158,6 +160,8 @@ def run_symmetry_suite(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if max_p < 1:
         raise ValueError(f"max_p must be >= 1, got {max_p}")
+    if max_n < 5:
+        raise ValueError(f"max_n must be >= 5 for the 4-regular pool graph, got {max_n}")
     rng = np.random.default_rng(seed)
     pools = {
         name: [ExpectationEvaluator(g) for g in pool]
@@ -214,17 +218,20 @@ def non_adiabatic_progression(
     """
     if classify(g) is not GraphClass.ODD_REGULAR:
         raise ValueError("non-adiabatic branch exists for odd-regular graphs")
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     b = GENERAL_BOUNDS
     ev = ExpectationEvaluator(g)
 
-    best_start, best_f = None, -math.inf
-    for gamma in np.linspace(math.pi / 2.0, b.gamma_max, grid, endpoint=False):
-        for beta in np.linspace(b.beta_min, b.beta_max, grid, endpoint=False):
-            phi = Parameters(gammas=(float(gamma),), betas=(float(beta),))
-            f = ev.expectation(phi)
-            if f > best_f:
-                best_start, best_f = phi, f
-    assert best_start is not None
+    points = itertools.product(
+        np.linspace(math.pi / 2.0, b.gamma_max, grid, endpoint=False),
+        np.linspace(b.beta_min, b.beta_max, grid, endpoint=False),
+    )
+    # max keeps the first of equal values, so ties go to the earliest point.
+    best_start = max(
+        (Parameters(gammas=(float(gamma),), betas=(float(beta),)) for gamma, beta in points),
+        key=ev.expectation,
+    )
     phi1 = maximize_bounded(ev.expectation, best_start, b, optimizer).phi_star
 
     cfg = StrategyConfig(

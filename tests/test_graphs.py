@@ -24,6 +24,14 @@ C4 = Graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
 PATH3 = Graph(n=3, edges=((0, 1), (1, 2)))
 
 
+def shifted_cut_values(g: Graph, indices: np.ndarray) -> np.ndarray:
+    # Reference enumeration: shift int64 basis-state indices once per endpoint.
+    acc = np.zeros(indices.shape, dtype=np.int64)
+    for j, k in g.edges:
+        acc += (indices >> j ^ indices >> k) & 1
+    return acc
+
+
 def brute_force_all(g: Graph) -> int:
     # Independent oracle: full 2^n enumeration through cut_value.
     return max(
@@ -142,6 +150,13 @@ class TestCutValue:
             s = "".join(str(z >> i & 1) for i in range(3))
             assert table[z] == cut_value(PATH3, s)
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 18), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    def test_cut_table_matches_shifted_indices(self, n, q, seed):
+        g = gen_erdos_renyi(n, q, seed)
+        want = shifted_cut_values(g, np.arange(1 << n, dtype=np.int64)).astype(np.float64)
+        assert cut_table(g).tobytes() == want.tobytes()
+
 
 class TestBruteForce:
     @pytest.mark.parametrize("g,c_max", [(K3, 2), (C4, 4), (K4, 4)])
@@ -165,6 +180,23 @@ class TestBruteForce:
         for seed in range(5):
             g = gen_erdos_renyi(6, 0.6, seed)
             assert max_cut_brute_force(g)[0] == brute_force_all(g)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 18), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    def test_matches_shifted_indices(self, n, q, seed):
+        # Same value and the same (first) maximizer among vertex-0-on-side-0 cuts.
+        g = gen_erdos_renyi(n, q, seed)
+        indices = np.arange(0, 1 << n, 2, dtype=np.int64)
+        cuts = shifted_cut_values(g, indices)
+        z = int(indices[np.argmax(cuts)])
+        want = (int(cuts.max()), "".join(str(z >> i & 1) for i in range(n)))
+        assert max_cut_brute_force(g) == want
+
+    @pytest.mark.parametrize("n", [21, 22, 23, 24])
+    def test_complete_graphs_up_to_the_guard(self, n):
+        # K_24 has 276 edges, so it runs the two-byte accumulator.
+        g = Graph(n=n, edges=tuple(itertools.combinations(range(n), 2)))
+        assert max_cut_brute_force(g)[0] == n * n // 4
 
     def test_size_guard(self):
         g = Graph(n=25, edges=((0, 1),))

@@ -148,6 +148,25 @@ class TestBaseExhaustion:
         cfg = small_cfg(REGULAR_BOUNDS, trials=5, seed=3)
         assert base_exhaustion(K3, 1, cfg) == base_exhaustion(K3, 1, cfg)
 
+    def test_starts_match_scipy_scrambled_halton(self):
+        # The library's sampler reproduces scipy 1.17's Owen-scrambled Halton
+        # and its scaling byte for byte; only this test imports scipy.stats.
+        from scipy.stats import qmc
+
+        for seed in range(60):
+            bounds = (GENERAL_BOUNDS, REGULAR_BOUNDS)[seed % 2]
+            for p in range(1, 5):
+                lower, upper = bounds.box(p)
+                for trials in (2, 5, 20, 41):
+                    engine = qmc.Halton(
+                        d=2 * p, scramble=True, seed=np.random.default_rng([seed, p])
+                    )
+                    want = qmc.scale(engine.random(trials - 1), lower, upper)
+                    cfg = small_cfg(bounds, max_depth=p, trials=trials, seed=seed)
+                    corner, *starts = strategies_module._exhaustion_starts(p, cfg)
+                    got = np.array([phi.to_array() for phi in starts])
+                    assert got.tobytes() == want.tobytes(), (seed, p, trials)
+
 
 class TestRunBilinear:
     def test_depth_two_run_is_exactly_base_exhaustion(self):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,15 @@ def test_package_reexports_are_public_names_of_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name} is not public"
             assert getattr(qaoa_maxcut, alias.name) is getattr(module, alias.name)
+
+
+def test_import_skips_scipy_stats():
+    # scipy.stats alone costs about half a second to import; the library
+    # uses scipy for L-BFGS-B only, so a fresh process must not load it.
+    code = "import sys, qaoa_maxcut, qaoa_maxcut.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(qaoa_maxcut.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
