@@ -343,8 +343,9 @@ def emit_params_trace(rs: ResultSet, instance: str, strategy: str) -> str:
 
 
 def emit_landscape(g: Graph, resolution: int) -> str:
-    """CSV grid of the depth-1 normalized expectation over one full period:
-    gamma in [0, 2*pi), beta in [0, pi), `resolution` points per axis."""
+    """CSV grid of the depth-1 normalized expectation, `resolution` points per
+    axis: gamma in [0, 2*pi), one period of gamma, and beta in [0, pi), two
+    periods of beta (whose period is pi/2; see symmetry.check_periodicity)."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     ev = ExpectationEvaluator(g)

@@ -1,4 +1,10 @@
-"""Box-constrained maximization with exact objective-evaluation accounting."""
+"""Box-constrained maximization with exact objective-evaluation accounting.
+
+The optimizer is scipy's L-BFGS-B. `scipy.optimize` takes most of a cold
+start to import, so `maximize_flat` imports it on its first call rather than
+when the package loads: code that only simulates, such as the `landscape`,
+`verify`, `gen`, `table` and `trace` commands, never loads scipy.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,6 @@ from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .graphs import GraphClass
 from .simulator import Parameters
@@ -182,12 +187,27 @@ def maximize_flat(
     `fun`, including the finite-difference gradient probes (2 per dimension
     per gradient). The best evaluated point is returned, so f_star never
     falls below fun(x0). Deterministic for fixed inputs. A non-finite value
-    of `fun` raises OptimizationError.
+    of `fun` raises OptimizationError. A box that is not finite and
+    non-degenerate in every coordinate (the rule `Bounds` applies) or a start
+    outside it raises ValueError before `fun` is called.
     """
+    from scipy.optimize import minimize  # deferred: see the module docstring
+
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if np.any(x0 < lower) or np.any(x0 > upper):
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"start must be a non-empty 1-D array, got shape {x0.shape}")
+    if lower.shape != x0.shape or upper.shape != x0.shape:
+        raise ValueError(
+            f"box shapes {lower.shape} and {upper.shape} differ from start shape {x0.shape}"
+        )
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError(f"bounds must be finite: [{lower}, {upper}]")
+    if np.any(lower >= upper):
+        raise ValueError(f"degenerate box: need lower < upper, got [{lower}, {upper}]")
+    # Written as a range test so that a NaN start, which compares false, fails it.
+    if not np.all((lower <= x0) & (x0 <= upper)):
         raise ValueError(f"start {x0} outside box [{lower}, {upper}]")
 
     counted = _CountedObjective(fun)
@@ -198,7 +218,7 @@ def maximize_flat(
     def neg_grad(x: np.ndarray) -> np.ndarray:
         return -_fd_gradient(counted, x, lower, upper, config.gradient_step)
 
-    res = _scipy_minimize(
+    res = minimize(
         neg,
         x0,
         jac=neg_grad,

@@ -74,6 +74,32 @@ class TestMaximizeFlat:
         with pytest.raises(ValueError, match="outside"):
             maximize_flat(lambda x: 0.0, [2.0], [0.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "x0, lower, upper, match",
+        [
+            # Equal bounds made the FD gradient divide 0 by 0, and L-BFGS-B
+            # stopped at [0.399999, 0.5], not at the box maximum [0.3, 0.5].
+            ([0.2, 0.5], [0.0, 0.5], [1.0, 0.5], "degenerate"),
+            ([0.5], [1.0], [0.0], "degenerate"),
+            ([0.2], [math.nan], [1.0], "finite"),
+            ([0.2], [0.0], [math.inf], "finite"),
+            ([0.2, 0.5], [0.0], [1.0], "shape"),
+            ([[0.2, 0.5]], [[0.0, 0.0]], [[1.0, 1.0]], "1-D"),
+            ([], [], [], "non-empty"),
+            ([math.nan], [0.0], [1.0], "outside"),
+        ],
+        ids=[
+            "equal-bounds", "inverted-bounds", "nan-bound", "infinite-bound",
+            "short-box", "2d-start", "empty-start", "nan-start",
+        ],
+    )
+    def test_bad_box_rejected_before_first_call(self, x0, lower, upper, match):
+        def fun(x):
+            raise AssertionError(f"objective called at {x}")
+
+        with pytest.raises(ValueError, match=match):
+            maximize_flat(fun, x0, lower, upper)
+
 
 class TestMaximizeBounded:
     def test_k2_reaches_closed_form_optimum(self):
