@@ -22,6 +22,17 @@ from .graphs import read_edge_list, write_edge_list
 from .symmetry import DEVIATION_TOLERANCE, run_symmetry_suite
 
 
+def _check_out_file(out: str | None) -> None:
+    """Fail before any work when --out cannot be written as a file."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out}: is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: no directory {path.parent}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -52,9 +63,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(ExperimentConfig.from_file(args.config), args)
-    rs = run_experiment(cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: {exc}") from None
+    rs = run_experiment(cfg)
     results_path = out_dir / "results.json"
     rs.save(results_path)
     print(f"wrote {results_path} ({len(rs.records)} records)")
@@ -62,18 +76,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     rs = ResultSet.load(args.results)
     _write_or_print(emit_alpha_table(rs), args.out)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     rs = ResultSet.load(args.results)
     _write_or_print(emit_params_trace(rs, args.instance, args.strategy), args.out)
     return 0
 
 
 def _cmd_landscape(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     if args.edges is not None:
         g = read_edge_list(args.edges)
     else:
@@ -92,6 +109,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     seed = args.seed if args.seed is not None else 0
     reports = run_symmetry_suite(samples=args.samples, seed=seed, max_p=args.max_p)
     failed = False

@@ -111,9 +111,13 @@ class InstanceSpec:
         if self.kind == "regular":
             if self.degree is None:
                 raise ConfigError(f"{self}: regular instance needs a degree")
+            if self.prob is not None:
+                raise ConfigError(f"{self}: regular instance takes no 'prob'")
         elif self.kind == "erdos_renyi":
             if self.prob is None:
                 raise ConfigError(f"{self}: erdos_renyi instance needs an edge probability")
+            if self.degree is not None:
+                raise ConfigError(f"{self}: erdos_renyi instance takes no 'degree'")
         else:
             raise ConfigError(f"{self}: unknown instance kind {self.kind!r}")
         if self.seed < 0:

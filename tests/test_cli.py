@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qaoa_maxcut import cli
 from qaoa_maxcut.cli import main
 from qaoa_maxcut.experiment import ResultSet
 from qaoa_maxcut.graphs import read_edge_list
@@ -137,6 +138,16 @@ class TestLandscape:
         assert run_cli("landscape", "--resolution", 3) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, stray",
+        [("regular", ["--prob", 0.5]), ("erdos_renyi", ["--degree", 3])],
+        ids=["regular-with-prob", "erdos-renyi-with-degree"],
+    )
+    def test_parameter_of_the_other_kind_fails(self, kind, stray, capsys):
+        given = ["--degree", 3] if kind == "regular" else ["--prob", 0.5]
+        assert run_cli("landscape", "--kind", kind, "--n", 4, *given, *stray) == 1
+        assert_one_error_line(capsys, f"takes no '{stray[0][2:]}'")
+
 
 class TestVerify:
     def test_passes_and_writes_report(self, tmp_path, capsys):
@@ -220,6 +231,10 @@ class TestBadInputs:
             ({"optimizer": {"gradient_step": math.nan}}, "must be positive and finite"),
             ({"optimizer": {"convergence_tolerance": math.nan}}, "must be positive and finite"),
             ({"optimizer": {"gradient_step": math.inf}}, "must be positive and finite"),
+            (
+                {"instances": [{"kind": "regular", "n": 10, "degree": 3, "seed": 1, "prob": 0.5}]},
+                "regular instance takes no 'prob'",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -238,6 +253,7 @@ class TestBadInputs:
             "nan-gradient-step",
             "nan-convergence-tolerance",
             "infinite-gradient-step",
+            "regular-with-prob",
         ],
     )
     def test_malformed_config_fails_cleanly(self, change, fragment, tmp_path, capsys):
@@ -316,6 +332,46 @@ class TestBadInputs:
         path.write_text(text)
         assert run_cli("landscape", "--edges", path, "--resolution", 3) == 1
         assert_one_error_line(capsys, f"{path}: ", token)
+
+    @pytest.mark.parametrize(
+        "command, compute",
+        [
+            (["run", "--config", "{config}", "--out", "{file}"], "run_experiment"),
+            (["run", "--config", "{config}", "--out", "{file}/out"], "run_experiment"),
+            (["landscape", "--kind", "regular", "--n", "4", "--degree", "3", "--out", "{missing}"],
+             "emit_landscape"),
+            (["landscape", "--kind", "regular", "--n", "4", "--degree", "3", "--out", "{tmp}"],
+             "emit_landscape"),
+            (["table", "--results", "{file}", "--out", "{missing}"], "emit_alpha_table"),
+            (
+                ["trace", "--results", "{file}", "--instance", "reg1-n2-s0",
+                 "--strategy", "bilinear", "--out", "{missing}"],
+                "emit_params_trace",
+            ),
+            (["verify", "--out", "{missing}"], "run_symmetry_suite"),
+        ],
+        ids=[
+            "run-into-file",
+            "run-under-file",
+            "landscape-missing-directory",
+            "landscape-into-directory",
+            "table-missing-directory",
+            "trace-missing-directory",
+            "verify-missing-directory",
+        ],
+    )
+    def test_unusable_out_fails_before_any_compute(
+        self, command, compute, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            pytest.fail(f"{compute} ran before --out was checked")
+
+        monkeypatch.setattr(cli, compute, never)
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        paths = dict(tmp=tmp_path, config=config_path, file=existing, missing=tmp_path / "no" / "x")
+        assert run_cli(*[a.format(**paths) for a in command]) == 1
+        assert_one_error_line(capsys, "--out")
 
     @pytest.mark.parametrize("flag, name", [("--max-p", "max_p"), ("--samples", "samples")])
     def test_verify_rejects_zero(self, flag, name, capsys):

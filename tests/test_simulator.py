@@ -1,4 +1,10 @@
+import concurrent.futures
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -506,3 +512,115 @@ class TestPrefixReuse:
         # Shares layer 1 with the call that completed, not with the one that raised.
         phi = Parameters(gammas=(0.1, 0.7, 0.3), betas=(0.4, 0.5, 0.6))
         assert ev.expectation(phi) == ExpectationEvaluator(g).expectation(phi)
+
+
+class TestSplitMixer:
+    """Large states split each mixer pass over two threads; every amplitude
+    must get the same bits as on one thread."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), beta=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
+    def test_split_matches_one_thread_bit_for_bit(self, n, beta, seed):
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+        one, split = half.copy(), half.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_cpus", lambda: 1)
+            _mixer_kernel(one, beta, n)
+            patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+            patch.setattr(simulator, "_cpus", lambda: 2)
+            _mixer_kernel(split, beta, n)
+        assert split.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_an_error_in_either_half_reaches_the_caller(self, side):
+        def task(which):
+            if which == side:
+                raise ArithmeticError(which)
+
+        with pytest.raises(ArithmeticError, match=side):
+            simulator._in_two(task, ("caller",), ("helper",))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
+    def test_forked_child_completes_a_split_mixer(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        state = plus_state(6)[:32]
+        _mixer_kernel(state, 0.3, 6)
+        assert simulator._helper is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                _mixer_kernel(state, 0.3, 6)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in a split mixer")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        # More calling threads than cores, switching as often as possible.
+        made = []
+
+        class Counting(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_helper", None)
+        rng = np.random.default_rng(53)
+        starts = [rng.normal(size=256) + 1j * rng.normal(size=256) for _ in range(6)]
+        expected = []
+        for start in starts:
+            one = start.copy()
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_cpus", lambda: 1)
+                for beta in (0.4, 1.1, 2.5):
+                    _mixer_kernel(one, beta, 9)
+            expected.append(one.tobytes())
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        results = [None] * len(starts)
+
+        def caller(i):
+            state = starts[i].copy()
+            for beta in (0.4, 1.1, 2.5):
+                _mixer_kernel(state, beta, 9)
+            results[i] = state.tobytes()
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for executor in made:
+            executor.shutdown()
+        assert results == expected
+        assert len(made) == 1
+
+    def test_one_cpu_starts_no_helper_thread(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 1)
+        monkeypatch.setattr(simulator, "_helper", None)
+        threads = threading.active_count()
+        _mixer_kernel(plus_state(6)[:32], 0.3, 6)
+        assert simulator._helper is None
+        assert threading.active_count() == threads
