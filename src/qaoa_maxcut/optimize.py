@@ -4,6 +4,12 @@ The optimizer is scipy's L-BFGS-B. `scipy.optimize` takes most of a cold
 start to import, so `maximize_flat` imports it on its first call rather than
 when the package loads: code that only simulates, such as the `landscape`,
 `verify`, `gen`, `table` and `trace` commands, never loads scipy.
+
+The gradient is by central finite differences, 2 probes per coordinate, all
+counted in nfev. An objective may carry a `prefetch` attribute: each
+gradient then hands it every probe first, so that it can compute their
+values together, and still calls the objective once per probe, in the same
+order, so the counts, the best point and the errors do not depend on it.
 """
 
 from __future__ import annotations
@@ -153,6 +159,7 @@ def _fd_gradient(
     lower: np.ndarray,
     upper: np.ndarray,
     step: float,
+    prefetch: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     # Central differences with probes clamped into the box, so every counted
     # evaluation is at a feasible point; at an active bound this degrades to a
@@ -161,15 +168,22 @@ def _fd_gradient(
     # layer from the last, so each probe shares every earlier layer with the
     # point before it and an evaluator resumes from there. The values, and so
     # the gradient, do not depend on the order; any length is visited whole.
+    # `prefetch` gets every probe first, one per row in calling order, and
+    # may compute their values ahead; `fun` is still called once per probe.
     p = max(1, x.size // 2)
-    grad = np.empty_like(x)
+    probes = []
     for k in sorted(range(x.size), key=lambda i: -(i % p)):
         hi = min(x[k] + step, upper[k])
         lo = max(x[k] - step, lower[k])
         xp, xm = x.copy(), x.copy()
         xp[k] = hi
         xm[k] = lo
-        grad[k] = (fun(xp) - fun(xm)) / (hi - lo)
+        probes.append((k, xp, xm, hi - lo))
+    if prefetch is not None:
+        prefetch(np.array([y for _, xp, xm, _ in probes for y in (xp, xm)]))
+    grad = np.empty_like(x)
+    for k, xp, xm, spread in probes:
+        grad[k] = (fun(xp) - fun(xm)) / spread
     return grad
 
 
@@ -189,7 +203,9 @@ def maximize_flat(
     falls below fun(x0). Deterministic for fixed inputs. A non-finite value
     of `fun` raises OptimizationError. A box that is not finite and
     non-degenerate in every coordinate (the rule `Bounds` applies) or a start
-    outside it raises ValueError before `fun` is called.
+    outside it raises ValueError before `fun` is called. When `fun` has a
+    `prefetch` attribute, each gradient first calls `fun.prefetch(rows)` with
+    its probes, one flat point per row in calling order.
     """
     from scipy.optimize import minimize  # deferred: see the module docstring
 
@@ -211,12 +227,13 @@ def maximize_flat(
         raise ValueError(f"start {x0} outside box [{lower}, {upper}]")
 
     counted = _CountedObjective(fun)
+    prefetch = getattr(fun, "prefetch", None)
 
     def neg(x: np.ndarray) -> float:
         return -counted(x)
 
     def neg_grad(x: np.ndarray) -> np.ndarray:
-        return -_fd_gradient(counted, x, lower, upper, config.gradient_step)
+        return -_fd_gradient(counted, x, lower, upper, config.gradient_step, prefetch)
 
     res = minimize(
         neg,
@@ -245,6 +262,8 @@ def maximize_bounded(
     `phi0` must already lie inside the box (callers clamp first). The
     reported nfev is exactly the number of `objective` calls made. A
     non-finite objective value raises maximize_flat's OptimizationError.
+    An `objective.prefetch` gets each gradient's probes as a (k, 2, p)
+    array of (gammas, betas) rows; see `maximize_flat`.
     """
     if not b.contains(phi0):
         raise ValueError(f"start {phi0} violates bounds {b}; clamp first")
@@ -252,6 +271,10 @@ def maximize_bounded(
 
     def fun(x: np.ndarray) -> float:
         return objective(Parameters.from_array(x))
+
+    prefetch = getattr(objective, "prefetch", None)
+    if prefetch is not None:
+        fun.prefetch = lambda rows: prefetch(rows.reshape(len(rows), 2, phi0.p))
 
     x, f, nfev, converged = maximize_flat(fun, phi0.to_array(), lower, upper, config)
     return OptResult(

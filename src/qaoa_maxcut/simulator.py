@@ -16,10 +16,18 @@ disjoint halves, one of them run by a single helper thread, when the process
 may run on at least 2 CPUs. Every amplitude gets the same operations either
 way, so results are bit-identical. The helper thread is started on the first
 split and serves the whole process; a forked child starts its own.
+
+`advance_probes` computes the finite-difference gradient probes of one
+point ahead, as rows of one 2-D state array (at most about 1 MiB, so only
+up to n = 15), with per-row angles and one kernel call per layer for all
+rows. Its values are kept by the evaluator and returned by `expectation`,
+so every value still passes through `expectation`, bit-identical to the
+one-row path.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -32,6 +40,7 @@ from .graphs import Graph, cut_table
 __all__ = [
     "Parameters",
     "ExpectationEvaluator",
+    "advance_probes",
     "expectation_dense_oracle",
     "MAX_QUBITS",
     "DENSE_ORACLE_MAX_QUBITS",
@@ -129,23 +138,26 @@ class Parameters:
         return cls(gammas=tuple(values[:p]), betas=tuple(values[p:]))
 
 
-def _phase_kernel(state: np.ndarray, cuts: np.ndarray, gamma: float) -> None:
+def _phase_kernel(state: np.ndarray, cuts: np.ndarray, gamma) -> None:
     """In place: multiply the amplitude of each basis state z by exp(-i * gamma * cut(z)).
 
     `cuts` holds the cut values as integers, so the phase is computed once
-    per distinct value and gathered.
+    per distinct value and gathered. A 2-D state holds one state per row,
+    and `gamma` then holds one angle per row.
     """
-    state *= np.exp(-1j * gamma * np.arange(cuts.max() + 1.0))[cuts]
+    state *= np.exp(np.multiply.outer(-1j * gamma, np.arange(cuts.max() + 1.0)))[..., cuts]
 
 
-def _passes(state: np.ndarray, scratch: np.ndarray, c: float, s: complex, qubits: int) -> None:
+def _passes(state: np.ndarray, scratch: np.ndarray, c, s, qubits: int) -> None:
     """One pass for each of the qubits 0..qubits-1 of `state`: each pair
-    (a, b) of amplitudes 2^q apart becomes c * (a, b) + s * (b, a)."""
+    (a, b) of amplitudes 2^q apart becomes c * (a, b) + s * (b, a). A 2-D
+    state holds one state per row, with c and s of shape (rows, 1, 1, 1)."""
+    rows = state.shape[:-1]
     for q in range(qubits):
-        shape = (-1, 2, 1 << q)
+        shape = (*rows, -1, 2, 1 << q)
         view = state.reshape(shape)
         swapped = scratch.reshape(shape)
-        np.multiply(view[:, ::-1, :], s, out=swapped)
+        np.multiply(view[..., ::-1, :], s, out=swapped)
         view *= c
         view += swapped
 
@@ -160,6 +172,18 @@ def _straddling_pass(view: np.ndarray, swapped: np.ndarray, c: float, s: complex
 def _combine(state: np.ndarray, scratch: np.ndarray, c: float) -> None:
     state *= c
     state += scratch
+
+
+def _mixer_rows(block: np.ndarray, betas: list[float], n: int) -> None:
+    """`_mixer_kernel` on each row of a (rows, 2^(n-1)) block, row r with
+    angle betas[r], by the same operations on every amplitude."""
+    # math, not np.cos: numpy's vector cos may round differently.
+    c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
+    s = np.array([-1j * math.sin(b) for b in betas])[:, None]
+    scratch = np.empty_like(block)
+    _passes(block, scratch, c[..., None, None], s[..., None, None], n - 1)
+    np.multiply(block[:, ::-1], s, out=scratch)
+    _combine(block, scratch, c)
 
 
 def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
@@ -197,6 +221,16 @@ def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
     _in_two(_combine, (state[:m], scratch[:m], c), (state[m:], scratch[m:], c))
 
 
+# The states of one block of rows in `advance_probes`, with the mixer's
+# scratch: rows * 2^(n-1) * 32 bytes, at most 64 rows at n = 10, 4 at n = 14
+# and 1 from n = 16. On a shared 2-CPU host (medians of nine, G(n, 1/2)),
+# one gradient's probes took 0.44 of the one-row time at n = 10, p = 8,
+# 0.98 at n = 12, p = 8, 0.85-0.97 at n = 14, p = 6 and 0.83-0.91 at
+# n = 15, p = 6. Per-call overhead, which the rows share, is most of a
+# layer's cost at n = 10 only.
+_PROBE_BLOCK_BYTES = 1 << 20
+
+
 class ExpectationEvaluator:
     """Repeated expectation evaluation on one graph.
 
@@ -216,6 +250,10 @@ class ExpectationEvaluator:
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
     the deepest p seen, 56 MiB at n = 20, p = 8. Because calls read and
     write them, an evaluator must not be shared between threads.
+
+    It also keeps the values that `advance_probes` last computed ahead,
+    keyed by the exact bits of their angles, and `expectation` returns one
+    of them when called at those angles.
     """
 
     def __init__(self, g: Graph):
@@ -233,6 +271,9 @@ class ExpectationEvaluator:
         # Before the first call, one NaN layer: nothing to resume.
         self._angles = np.full((2, 1), np.nan)
         self._after: list[np.ndarray] = []
+        # Values computed ahead by `advance_probes`, keyed by the bytes of
+        # their (gammas, betas) array.
+        self._kept: dict[bytes, float] = {}
 
     def _shared_layers(self, angles: np.ndarray) -> int:
         """How many leading layers of `angles` can be resumed from the last call."""
@@ -241,10 +282,10 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=0)
         return int(np.logical_and.accumulate(same).sum())
 
-    def _half(self, phi: Parameters) -> np.ndarray:
-        """The low half of the ansatz state, in a new array."""
-        n = self.graph.n
-        angles = np.array((phi.gammas, phi.betas))
+    def _half(self, angles: np.ndarray) -> np.ndarray:
+        """The low half of the ansatz state at the (gammas, betas) rows
+        `angles`, in a new array."""
+        n, p = self.graph.n, angles.shape[1]
         k = self._shared_layers(angles)
         if k:
             state = self._after[k - 1].copy()
@@ -253,10 +294,11 @@ class ExpectationEvaluator:
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
-        for j in range(k, phi.p):
-            _phase_kernel(state, self._cut_index, phi.gammas[j])
-            _mixer_kernel(state, phi.betas[j], n)
-            if j == phi.p - 1:
+        gammas, betas = angles.tolist()
+        for j in range(k, p):
+            _phase_kernel(state, self._cut_index, gammas[j])
+            _mixer_kernel(state, betas[j], n)
+            if j == p - 1:
                 break
             if j == len(self._after):
                 self._after.append(np.empty_like(state))
@@ -269,16 +311,87 @@ class ExpectationEvaluator:
 
         The returned full state is new on every call; the caller owns it.
         """
-        half = self._half(phi)
+        half = self._half(np.array((phi.gammas, phi.betas)))
         return np.concatenate((half, half[::-1]))
 
     def expectation(self, phi: Parameters) -> float:
-        """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z)."""
-        half = self._half(phi)
-        probs = half.real**2 + half.imag**2
+        """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z).
+
+        A value that `advance_probes` computed ahead at bit-equal angles is
+        returned as it is, and the stored states stay those of the last call
+        computed here.
+        """
+        angles = np.array((phi.gammas, phi.betas))
+        if self._kept:
+            kept = self._kept.get(angles.tobytes())
+            if kept is not None:
+                return kept
+        half = self._half(angles)
+        return self._value(half.real**2 + half.imag**2)
+
+    def _value(self, probs: np.ndarray) -> float:
+        """The expectation from the probabilities of the low half."""
         # The full vector, summed in index order: 2 * (probs @ low cuts) would
         # round differently and move the optimizer's path.
         return float(np.concatenate((probs, probs[::-1])) @ self._cuts)
+
+
+def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
+    """Compute ahead, together, the expectations at those rows of `angles`
+    that differ from the evaluator's last call in exactly one layer.
+
+    `angles` has shape (k, 2, p): row r is the (gammas, betas) array of one
+    point, such as a finite-difference gradient probe. The rows that qualify
+    (same depth as the last call, every angle but the pair of one layer j
+    bit-equal to it, no NaN) are sorted by j, and each starts from the state
+    that the evaluator stored before layer j. Every later layer then runs
+    once on all rows started so far, as a 2-D state of one probe per row
+    with per-row angles. Each element gets the same operations as on the
+    one-row path, so every value is bit-identical to `expectation`'s. The
+    values replace the evaluator's kept ones, and `expectation` returns one
+    when called with bit-equal angles; nothing else of the evaluator
+    changes, so the other rows are computed one at a time, as before.
+
+    Rows run in blocks of at most 1 MiB of states and scratch; from n = 16
+    a block has room for one row only and nothing is computed ahead.
+    """
+    evaluator._kept = {}
+    n = evaluator.graph.n
+    rows_max = _PROBE_BLOCK_BYTES // (32 << (n - 1))
+    angles = np.ascontiguousarray(angles, dtype=float)
+    last = evaluator._angles
+    if rows_max < 2 or angles.ndim != 3 or angles.shape[1:] != last.shape:
+        return
+    same = (angles.view(np.int64) == last.view(np.int64)).all(axis=1)
+    qualify = ((~same).sum(axis=1) == 1) & ~np.isnan(angles).any(axis=(1, 2))
+    layer = same.argmin(axis=1)
+    picked = np.flatnonzero(qualify)
+    picked = picked[np.argsort(layer[picked], kind="stable")]
+    kept = {}
+    for first in range(0, picked.size, rows_max):
+        block = picked[first : first + rows_max]
+        values = _advance(evaluator, angles[block], layer[block].tolist())
+        kept.update(zip((angles[r].tobytes() for r in block), values))
+    evaluator._kept = kept
+
+
+def _advance(evaluator: ExpectationEvaluator, angles: np.ndarray, layer: list[int]) -> list[float]:
+    """The values at the rows of `angles`, row r differing from the last
+    call in layer `layer[r]` only; `layer` is sorted."""
+    n, p = evaluator.graph.n, angles.shape[2]
+    gammas, betas = angles.transpose(1, 2, 0).tolist()
+    states = np.empty((len(layer), 1 << (n - 1)), dtype=complex)
+    started = 0
+    for j in range(layer[0], p):
+        # The rows that differ in layer j start here, from the stored state.
+        stop = bisect.bisect_right(layer, j, started)
+        states[started:stop] = evaluator._after[j - 1] if j else 2.0 ** (-n / 2)
+        started = stop
+        _phase_kernel(states[:started], evaluator._cut_index, np.array(gammas[j][:started]))
+        _mixer_rows(states[:started], betas[j][:started], n)
+    # One 1-D product per row, as in `expectation`: a matrix product rounds
+    # differently.
+    return [evaluator._value(probs) for probs in states.real**2 + states.imag**2]
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

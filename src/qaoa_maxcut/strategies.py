@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import Graph
 from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
-from .simulator import ExpectationEvaluator, Parameters
+from .simulator import ExpectationEvaluator, Parameters, advance_probes
 
 __all__ = [
     "DepthRecord",
@@ -149,6 +149,16 @@ def _progress(
 
         def objective(phi: Parameters) -> float:
             return evaluator.expectation(_stack(frozen, phi))
+
+        def prefetch(angles: np.ndarray) -> None:
+            # The optimizer's gradient probes, (k, 2, p) rows of the layers it varies.
+            if frozen is not None:
+                front = np.array((frozen.gammas, frozen.betas))
+                front = np.broadcast_to(front, (len(angles), *front.shape))
+                angles = np.concatenate((front, angles), axis=2)
+            advance_probes(evaluator, angles)
+
+        objective.prefetch = prefetch
 
         best: OptResult | None = None
         nfev_total = 0

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The strategy-comparison
 criteria share one set of desk-scale runs (three instances, depths 1..8,
-20 trials for the multistart baselines), so the module takes about six
+20 trials for the multistart baselines), so the module takes about two
 minutes on a 2-core host.
 """
 

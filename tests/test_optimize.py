@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_maxcut.graphs import Graph, GraphClass
+from qaoa_maxcut import simulator
+from qaoa_maxcut.graphs import Graph, GraphClass, gen_random_regular
 from qaoa_maxcut.optimize import (
     GENERAL_BOUNDS,
     REGULAR_BOUNDS,
@@ -15,7 +16,7 @@ from qaoa_maxcut.optimize import (
     maximize_bounded,
     maximize_flat,
 )
-from qaoa_maxcut.simulator import ExpectationEvaluator, Parameters
+from qaoa_maxcut.simulator import ExpectationEvaluator, Parameters, advance_probes
 
 K2 = Graph(n=2, edges=((0, 1),))
 HALF_PI = math.pi / 2
@@ -191,3 +192,62 @@ class TestOptimizerConfig:
             OptimizerConfig(gradient_step=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=-1)
+
+
+class TestPrefetch:
+    """An objective's `prefetch` hook gets each gradient's probes first; the
+    optimizer still calls the objective once per probe."""
+
+    def test_non_finite_batched_probe_is_accounted_as_on_the_plain_path(self, monkeypatch):
+        g = gen_random_regular(8, 3, 2)
+        phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
+        advance, poisoned = simulator._advance, []
+
+        def poisoning(evaluator, angles, layer):
+            values = advance(evaluator, angles, layer)
+            if not poisoned:  # the first gradient, on a probe of its middle layer
+                r = layer.index(1)
+                poisoned.append(angles[r].tobytes())
+                values[r] = math.nan
+            return values
+
+        monkeypatch.setattr(simulator, "_advance", poisoning)
+        ev = ExpectationEvaluator(g)
+
+        def batched(phi):
+            return ev.expectation(phi)
+
+        batched.prefetch = lambda angles: advance_probes(ev, angles)
+        with pytest.raises(OptimizationError) as from_batch:
+            maximize_bounded(batched, phi0, REGULAR_BOUNDS)
+        monkeypatch.undo()
+        fresh = ExpectationEvaluator(g)
+
+        def plain(phi):
+            if np.array((phi.gammas, phi.betas)).tobytes() == poisoned[0]:
+                return math.nan
+            return fresh.expectation(phi)
+
+        with pytest.raises(OptimizationError) as from_plain:
+            maximize_bounded(plain, phi0, REGULAR_BOUNDS)
+        batch, one = from_batch.value, from_plain.value
+        assert batch.nfev == one.nfev > 2
+        assert batch.best_f.hex() == one.best_f.hex()
+        assert batch.best_x.tobytes() == one.best_x.tobytes()
+
+    def test_each_block_is_then_called_probe_by_probe(self):
+        calls, blocks = [], []
+
+        def fun(x):
+            calls.append(x.copy())
+            return -float(np.sum((x - 0.3) ** 2))
+
+        fun.prefetch = lambda rows: blocks.append(rows.copy())
+        _, _, nfev, _ = maximize_flat(fun, np.array([0.0, 0.1, 0.2, 0.9]), np.zeros(4), np.ones(4))
+        assert nfev == len(calls)
+        assert blocks
+        calls = np.array(calls)
+        for block in blocks:
+            k = len(block)
+            assert k == 8
+            assert any(np.array_equal(calls[i : i + k], block) for i in range(len(calls) - k + 1))

@@ -19,12 +19,19 @@ from qaoa_maxcut.graphs import (
     gen_random_regular,
     max_cut_brute_force,
 )
-from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, Bounds, _fd_gradient, maximize_bounded
+from qaoa_maxcut.optimize import (
+    DEFAULT_GRADIENT_STEP,
+    GENERAL_BOUNDS,
+    Bounds,
+    _fd_gradient,
+    maximize_bounded,
+)
 from qaoa_maxcut.simulator import (
     ExpectationEvaluator,
     Parameters,
     _mixer_kernel,
     _phase_kernel,
+    advance_probes,
     expectation_dense_oracle,
 )
 
@@ -512,6 +519,167 @@ class TestPrefixReuse:
         # Shares layer 1 with the call that completed, not with the one that raised.
         phi = Parameters(gammas=(0.1, 0.7, 0.3), betas=(0.4, 0.5, 0.6))
         assert ev.expectation(phi) == ExpectationEvaluator(g).expectation(phi)
+
+
+def probe_rows(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The optimizer's gradient probes at x, one per row, in calling order."""
+    rows = []
+    _fd_gradient(lambda y: rows.append(y.copy()) or 0.0, x, lower, upper, DEFAULT_GRADIENT_STEP)
+    return np.array(rows)
+
+
+def one_layer_probes(x: np.ndarray, rows: np.ndarray) -> set[bytes]:
+    """The (gammas, betas) bytes of the rows without NaN that differ from x
+    in exactly one layer."""
+    p = x.size // 2
+    out = set()
+    for y in rows:
+        moved = (y.view(np.int64) != x.view(np.int64)).reshape(2, p).any(axis=0)
+        if moved.sum() == 1 and not np.isnan(y).any():
+            out.add(y.reshape(2, p).tobytes())
+    return out
+
+
+class TestAdvanceProbes:
+    """Gradient probes advanced together as rows of one state array; every
+    value served from them must equal a fresh evaluator's bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_served_values_match_a_fresh_evaluator(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        p = data.draw(st.integers(1, 8), label="p")
+        g = gen_erdos_renyi(n, 0.6, data.draw(st.integers(0, 50), label="graph seed"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="point seed"))
+        lower, upper = GENERAL_BOUNDS.box(p)
+        x = rng.uniform(lower, upper)
+        # Some angles on a box face, where one probe of the pair is x itself.
+        faces = data.draw(st.lists(st.integers(0, 2 * p - 1), max_size=3), label="on a face")
+        for k in faces:
+            x[k] = (lower if k % 2 else upper)[k]
+        rows = probe_rows(x, lower, upper)
+        extra = [rows[data.draw(st.integers(0, len(rows) - 1), label="duplicate")], x.copy()]
+        if p > 1:
+            two = x.copy()
+            two[[0, p - 1]] += 1e-3  # gamma_1 and gamma_p: two layers
+            extra.append(two)
+        nan = rows[data.draw(st.integers(0, len(rows) - 1), label="NaN row")].copy()
+        nan[data.draw(st.integers(0, 2 * p - 1), label="NaN angle")] = math.nan
+        extra.append(nan)
+        rows = np.concatenate((rows, extra))
+        rows = rows[data.draw(st.permutations(range(len(rows))), label="order")]
+        ev = ExpectationEvaluator(g)
+        # Cached elsewhere, a probe differs in every layer, unless p = 1.
+        elsewhere = data.draw(st.booleans(), label="cached at another point")
+        cached = rng.uniform(lower, upper) if elsewhere else x
+        ev.expectation(Parameters.from_array(cached))
+        advance_probes(ev, rows.reshape(len(rows), 2, p))
+        assert set(ev._kept) == one_layer_probes(cached, rows)
+        for y in rows:
+            phi = Parameters.from_array(y)
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
+    def test_fourteen_qubits_in_blocks_of_four(self, monkeypatch):
+        g = gen_erdos_renyi(14, 0.5, 5)
+        p = 5
+        lower, upper = GENERAL_BOUNDS.box(p)
+        x = np.random.default_rng(7).uniform(lower, upper)
+        x[p] = lower[p]
+        rows = probe_rows(x, lower, upper)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        kernel, blocks = simulator._mixer_rows, []
+
+        def counting(block, betas, n):
+            blocks.append(len(block))
+            kernel(block, betas, n)
+
+        monkeypatch.setattr(simulator, "_mixer_rows", counting)
+        advance_probes(ev, rows.reshape(len(rows), 2, p))
+        assert set(ev._kept) == one_layer_probes(x, rows)
+        assert max(blocks) == 4
+        for y in rows:
+            phi = Parameters.from_array(y)
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
+    def test_no_room_for_two_rows_keeps_nothing(self):
+        # From n = 16 a 1 MiB block holds one row: every probe is computed alone.
+        g = gen_random_regular(16, 3, 1)
+        lower, upper = GENERAL_BOUNDS.box(1)
+        x = np.array([0.4, 0.3])
+        rows = probe_rows(x, lower, upper)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        advance_probes(ev, rows.reshape(len(rows), 2, 1))
+        assert ev._kept == {}
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_gradient_probes_advance_2p_p_plus_1_row_layers(self, p, monkeypatch):
+        # The plain path's count (test_gradient_probes_resume_from_the_base_point),
+        # now as rows of p calls of the row kernel and no one-row call.
+        ev = ExpectationEvaluator(gen_erdos_renyi(6, 0.6, 4))
+        x = random_phi(np.random.default_rng(43), p).to_array()
+
+        def objective(y):
+            return ev.expectation(Parameters.from_array(y))
+
+        objective(x)
+        row_kernel, rows = simulator._mixer_rows, []
+
+        def counting(block, betas, n):
+            rows.append(len(betas))
+            row_kernel(block, betas, n)
+
+        one_row = []
+        monkeypatch.setattr(simulator, "_mixer_rows", counting)
+        monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: one_row.append(a))
+        unbounded = np.full(x.size, np.inf)
+        _fd_gradient(
+            objective,
+            x,
+            -unbounded,
+            unbounded,
+            DEFAULT_GRADIENT_STEP,
+            lambda probes: advance_probes(ev, probes.reshape(len(probes), 2, p)),
+        )
+        assert sum(rows) == 2 * p * (p + 1)
+        assert len(rows) == p
+        assert one_row == []
+
+    def test_a_batch_that_raises_keeps_nothing(self, monkeypatch):
+        g = gen_erdos_renyi(6, 0.6, 5)
+        lower, upper = GENERAL_BOUNDS.box(3)
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        rows = probe_rows(x, lower, upper)
+        advance_probes(ev, rows.reshape(len(rows), 2, 3))
+        assert len(ev._kept) == len(rows)
+        row_kernel, calls = simulator._mixer_rows, []
+
+        def failing_second(block, betas, n):
+            calls.append(betas)
+            if len(calls) == 2:
+                raise MemoryError
+            row_kernel(block, betas, n)
+
+        monkeypatch.setattr(simulator, "_mixer_rows", failing_second)
+        with pytest.raises(MemoryError):
+            advance_probes(ev, rows.reshape(len(rows), 2, 3))
+        monkeypatch.setattr(simulator, "_mixer_rows", row_kernel)
+        assert ev._kept == {}
+        # The stored states are still x's: a probe of the last layer computes one layer.
+        phi = Parameters.from_array(rows[0])
+        fresh = ExpectationEvaluator(g).expectation(phi)
+        kernel, one_row = simulator._mixer_kernel, []
+
+        def counting(state, beta, n):
+            one_row.append(beta)
+            kernel(state, beta, n)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
+        assert ev.expectation(phi).hex() == fresh.hex()
+        assert len(one_row) == 1
 
 
 class TestSplitMixer:

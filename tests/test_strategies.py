@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qaoa_maxcut.strategies as strategies_module
-from qaoa_maxcut.graphs import Graph, classify, gen_random_regular, max_cut_brute_force
+from qaoa_maxcut.graphs import (
+    Graph,
+    classify,
+    gen_erdos_renyi,
+    gen_random_regular,
+    max_cut_brute_force,
+)
 from qaoa_maxcut.optimize import GENERAL_BOUNDS, REGULAR_BOUNDS, Bounds, bounds_for_graph
 from qaoa_maxcut.simulator import ExpectationEvaluator, Parameters
 from qaoa_maxcut.strategies import (
@@ -20,6 +26,7 @@ from qaoa_maxcut.strategies import (
     run_linear_ramp,
     run_parameters_fixing,
 )
+from qaoa_maxcut.symmetry import non_adiabatic_progression
 
 K2 = Graph(n=2, edges=((0, 1),))
 K3 = Graph(n=3, edges=((0, 1), (1, 2), (0, 2)))
@@ -290,3 +297,58 @@ class TestDepthRecordInvariants:
                 assert abs(rec.alpha - rec.f_star / c_max) <= 1e-12
                 assert cfg.bounds.contains(rec.phi_star)
                 assert 0.0 <= rec.alpha <= 1.0 + 1e-9
+
+
+def _non_adiabatic(g, cfg):
+    return non_adiabatic_progression(g, cfg.max_depth, trials=cfg.trials, seed=cfg.rng_seed)
+
+
+def _bits(out) -> list:
+    """Every field of a run's output, floats as hex."""
+    rows = []
+    for r in out:
+        phi = r if isinstance(r, Parameters) else r.phi_star
+        row = [x.hex() for x in phi.gammas + phi.betas]
+        if not isinstance(r, Parameters):
+            row += [r.depth, r.strategy, r.f_star.hex(), r.alpha.hex(), r.nfev_total, r.converged]
+        rows.append(row)
+    return rows
+
+
+class TestBatchedProbes:
+    """The strategies hand each gradient's probes to `advance_probes`; their
+    records must equal, bit for bit, those of runs whose optimizer sees a
+    plain function objective."""
+
+    @pytest.mark.parametrize(
+        "run, g, bounds",
+        [
+            (run_bilinear, gen_erdos_renyi(9, 0.5, 3), GENERAL_BOUNDS),
+            (run_layerwise, gen_random_regular(8, 3, 1), REGULAR_BOUNDS),
+            (run_parameters_fixing, gen_random_regular(8, 3, 2), REGULAR_BOUNDS),
+            (run_linear_ramp, gen_erdos_renyi(7, 0.6, 4), GENERAL_BOUNDS),
+            (_non_adiabatic, gen_random_regular(8, 3, 3), GENERAL_BOUNDS),
+        ],
+        ids=["bilinear", "layerwise", "parameters_fixing", "linear_ramp", "non_adiabatic"],
+    )
+    def test_records_match_a_plain_objective(self, run, g, bounds, monkeypatch):
+        cfg = small_cfg(bounds, max_depth=4, trials=3, seed=5)
+        advance, served = strategies_module.advance_probes, []
+
+        def counting(evaluator, angles):
+            advance(evaluator, angles)
+            served.append(len(evaluator._kept))
+
+        monkeypatch.setattr(strategies_module, "advance_probes", counting)
+        batched = run(g, cfg)
+        assert sum(served) > 0
+        optimize = strategies_module.maximize_bounded
+        monkeypatch.setattr(
+            strategies_module,
+            "maximize_bounded",
+            lambda objective, *args: optimize(lambda phi: objective(phi), *args),
+        )
+        served.clear()
+        plain = run(g, cfg)
+        assert served == []
+        assert _bits(batched) == _bits(plain)
