@@ -9,7 +9,16 @@ every ansatz state has amp(z) = amp(z^) for the complement z^ of z, and the
 kernels build the two from the same products, bit for bit. The evaluator
 therefore stores and updates only the low half, the 2^(n-1) amplitudes with
 vertex n-1 on side 0; the high half is the low half reversed. `prepare`
-returns the full 2^n state, mirrored from the half.
+returns the full 2^n state, mirrored from the half, in a new array.
+
+An evaluator also keeps two half-size work arrays (16 MiB at n = 20), whose
+pages its first evaluation writes, on top of its stored prefix states: the
+working state, which `_half` returns, and one scratch that serves in turn
+as the phase gather buffer, as the mixer's scratch (`_mixer_kernel` takes
+an optional `scratch`) and as the full probability vector. An evaluation
+thus allocates no state, apart from a prefix state stored for the first
+time; its largest temporary is the phase gather's array of 2^(n-1) intp
+indices (4 MiB at n = 20).
 
 A half state of 2 MiB or more (n >= 18) has each mixer pass split into two
 disjoint halves, one of them run by a single helper thread, when the process
@@ -138,14 +147,23 @@ class Parameters:
         return cls(gammas=tuple(values[:p]), betas=tuple(values[p:]))
 
 
-def _phase_kernel(state: np.ndarray, cuts: np.ndarray, gamma) -> None:
+def _phase_kernel(
+    state: np.ndarray, cuts: np.ndarray, gamma, out: np.ndarray | None = None
+) -> None:
     """In place: multiply the amplitude of each basis state z by exp(-i * gamma * cut(z)).
 
     `cuts` holds the cut values as integers, so the phase is computed once
-    per distinct value and gathered. A 2-D state holds one state per row,
-    and `gamma` then holds one angle per row.
+    per distinct value and gathered into `out`, an array of the state's
+    shape; without it one is made. A 2-D state holds one state per row, and
+    `gamma` then holds one angle per row.
     """
-    state *= np.exp(np.multiply.outer(-1j * gamma, np.arange(cuts.max() + 1.0)))[..., cuts]
+    if out is None:
+        out = np.empty_like(state)
+    table = np.exp(np.multiply.outer(-1j * gamma, np.arange(cuts.max() + 1.0)))
+    # "wrap", not the default "raise", which gathers into a copy of `out`;
+    # every index is in range, so it changes no value. numpy still widens
+    # the byte-wide indices to a temporary intp array (4 MiB at n = 20).
+    state *= np.take(table, cuts, axis=-1, out=out, mode="wrap")
 
 
 def _passes(state: np.ndarray, scratch: np.ndarray, c, s, qubits: int) -> None:
@@ -186,16 +204,20 @@ def _mixer_rows(block: np.ndarray, betas: list[float], n: int) -> None:
     _combine(block, scratch, c)
 
 
-def _mixer_kernel(state: np.ndarray, beta: float, n: int) -> None:
+def _mixer_kernel(
+    state: np.ndarray, beta: float, n: int, scratch: np.ndarray | None = None
+) -> None:
     """In place: apply exp(-i * beta * X) to each of the n qubits of a
-    flip-symmetric state, given as its low half (length 2^(n-1))."""
+    flip-symmetric state, given as its low half (length 2^(n-1)). `scratch`,
+    an array of the state's shape, is overwritten; without it one is made."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
     # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-state ops.
     # One scratch state serves every pass; a fresh one per pass raised the
     # peak memory at n = 20 by a state's size.
     c = math.cos(beta)
     s = -1j * math.sin(beta)
-    scratch = np.empty_like(state)
+    if scratch is None:
+        scratch = np.empty_like(state)
     if state.size < _SPLIT_MIN_AMPLITUDES or _cpus() < 2:
         _passes(state, scratch, c, s, n - 1)
         # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
@@ -248,8 +270,11 @@ class ExpectationEvaluator:
     same kernel calls on the same bits, so every result is bit-identical to
     a fresh evaluator's. States are held as their low half (see the module
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
-    the deepest p seen, 56 MiB at n = 20, p = 8. Because calls read and
-    write them, an evaluator must not be shared between threads.
+    the deepest p seen, 56 MiB at n = 20, p = 8. Two more half states, first
+    written by the first evaluation and reused by every later one, hold the
+    working state and the scratch of its kernels and probabilities (16 MiB
+    at n = 20). Because calls read and write all of these, an evaluator
+    must not be shared between threads.
 
     It also keeps the values that `advance_probes` last computed ahead,
     keyed by the exact bits of their angles, and `expectation` returns one
@@ -271,6 +296,11 @@ class ExpectationEvaluator:
         # Before the first call, one NaN layer: nothing to resume.
         self._angles = np.full((2, 1), np.nan)
         self._after: list[np.ndarray] = []
+        # The working state of `_half`, and one scratch that its phase
+        # gather, its mixer and `_value`'s probabilities share in turn. Their
+        # pages are first written by the first evaluation.
+        self._state = np.empty(1 << (g.n - 1), dtype=complex)
+        self._scratch = np.empty_like(self._state)
         # Values computed ahead by `advance_probes`, keyed by the bytes of
         # their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
@@ -284,20 +314,22 @@ class ExpectationEvaluator:
 
     def _half(self, angles: np.ndarray) -> np.ndarray:
         """The low half of the ansatz state at the (gammas, betas) rows
-        `angles`, in a new array."""
+        `angles`, in the evaluator's own array, which the next call
+        overwrites."""
         n, p = self.graph.n, angles.shape[1]
         k = self._shared_layers(angles)
+        state, scratch = self._state, self._scratch
         if k:
-            state = self._after[k - 1].copy()
+            np.copyto(state, self._after[k - 1])
         else:
-            state = np.full(1 << (n - 1), 2.0 ** (-n / 2), dtype=complex)
+            state.fill(2.0 ** (-n / 2))
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
         gammas, betas = angles.tolist()
         for j in range(k, p):
-            _phase_kernel(state, self._cut_index, gammas[j])
-            _mixer_kernel(state, betas[j], n)
+            _phase_kernel(state, self._cut_index, gammas[j], scratch)
+            _mixer_kernel(state, betas[j], n, scratch)
             if j == p - 1:
                 break
             if j == len(self._after):
@@ -326,14 +358,19 @@ class ExpectationEvaluator:
             kept = self._kept.get(angles.tobytes())
             if kept is not None:
                 return kept
-        half = self._half(angles)
-        return self._value(half.real**2 + half.imag**2)
+        return self._value(self._half(angles))
 
-    def _value(self, probs: np.ndarray) -> float:
-        """The expectation from the probabilities of the low half."""
-        # The full vector, summed in index order: 2 * (probs @ low cuts) would
+    def _value(self, half: np.ndarray) -> float:
+        """The expectation of the state whose low half is `half`."""
+        # The full probability vector, the low half then its reverse, in the
+        # scratch, and summed in index order: 2 * (low half @ low cuts) would
         # round differently and move the optimizer's path.
-        return float(np.concatenate((probs, probs[::-1])) @ self._cuts)
+        probs = self._scratch.view(np.float64)
+        low, high = probs[: half.size], probs[half.size :]
+        np.square(half.real, out=low)
+        low += np.square(half.imag, out=high)
+        np.copyto(high, low[::-1])
+        return float(probs @ self._cuts)
 
 
 def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
@@ -391,7 +428,7 @@ def _advance(evaluator: ExpectationEvaluator, angles: np.ndarray, layer: list[in
         _mixer_rows(states[:started], betas[j][:started], n)
     # One 1-D product per row, as in `expectation`: a matrix product rounds
     # differently.
-    return [evaluator._value(probs) for probs in states.real**2 + states.imag**2]
+    return [evaluator._value(state) for state in states]
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

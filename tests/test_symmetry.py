@@ -228,6 +228,27 @@ class TestNonAdiabaticProgression:
             )
             assert abs(ev.expectation(phi) - ev.expectation(mirrored)) <= 1e-6
 
+    def test_depth_one_refinement_advances_gradient_probes_together(self, monkeypatch):
+        from qaoa_maxcut import simulator
+
+        row_kernel, one_row_kernel = simulator._mixer_rows, simulator._mixer_kernel
+        row_layers, one_row = [], []
+
+        def rows(block, betas, n):
+            row_layers.append(len(betas))
+            row_kernel(block, betas, n)
+
+        def one(state, beta, n, scratch=None):
+            one_row.append(beta)
+            one_row_kernel(state, beta, n, scratch)
+
+        monkeypatch.setattr(simulator, "_mixer_rows", rows)
+        monkeypatch.setattr(simulator, "_mixer_kernel", one)
+        non_adiabatic_progression(gen_random_regular(8, 3, 3), max_depth=1)
+        # The 24 x 24 grid runs one row at a time; the refinement's probes do not.
+        assert sum(row_layers) > 0
+        assert 24 * 24 < len(one_row) < 616
+
     def test_rejects_non_odd_regular(self):
         with pytest.raises(ValueError, match="odd-regular"):
             non_adiabatic_progression(K3, max_depth=2)
