@@ -11,27 +11,28 @@ therefore stores and updates only the low half, the 2^(n-1) amplitudes with
 vertex n-1 on side 0; the high half is the low half reversed. `prepare`
 returns the full 2^n state, mirrored from the half, in a new array.
 
-An evaluator also keeps two half-size work arrays (16 MiB at n = 20), whose
-pages its first evaluation writes, on top of its stored prefix states: the
-working state, which `_half` returns, and one scratch that serves in turn
-as the phase gather buffer, as the mixer's scratch (`_mixer_kernel` takes
-an optional `scratch`) and as the full probability vector. An evaluation
-thus allocates no state, apart from a prefix state stored for the first
-time; its largest temporary is the phase gather's array of 2^(n-1) intp
-indices (4 MiB at n = 20).
+Every evaluation runs through the evaluator's one layer loop on a block of
+half states, one per row, with per-row angles. A call of `expectation` or
+`prepare` is a block of one row, which resumes from its stored prefix state
+and stores its own. `advance_probes` computes a point's finite-difference
+gradient probes ahead in blocks of many rows (at most about 1 MiB, so only
+up to n = 15), each row starting at the one layer it changes; the evaluator
+keeps their values and `expectation` returns them. A row gets the same
+operations on the same bits whatever the block's size, so every value is
+bit-identical to a one-row call's.
 
-A half state of 2 MiB or more (n >= 18) has each mixer pass split into two
-disjoint halves, one of them run by a single helper thread, when the process
-may run on at least 2 CPUs. Every amplitude gets the same operations either
-way, so results are bit-identical. The helper thread is started on the first
-split and serves the whole process; a forked child starts its own.
+The loop computes in the evaluator's working states and one scratch, which
+serves in turn as the phase gather buffer, the mixer's scratch and the full
+probability vector. They hold one row (16 MiB together at n = 20) until the
+first `advance_probes` block grows them, so a warm evaluation allocates no
+state, apart from a prefix state stored for the first time.
 
-`advance_probes` computes the finite-difference gradient probes of one
-point ahead, as rows of one 2-D state array (at most about 1 MiB, so only
-up to n = 15), with per-row angles and one kernel call per layer for all
-rows. Its values are kept by the evaluator and returned by `expectation`,
-so every value still passes through `expectation`, bit-identical to the
-one-row path.
+A one-row block of 2 MiB or more (n >= 18) has each mixer pass split into
+two disjoint halves, one of them run by a single helper thread, when the
+process may run on at least 2 CPUs. Every amplitude gets the same
+operations either way, so results are bit-identical. The helper thread is
+started on the first split and serves the whole process; a forked child
+starts its own.
 """
 
 from __future__ import annotations
@@ -147,100 +148,95 @@ class Parameters:
         return cls(gammas=tuple(values[:p]), betas=tuple(values[p:]))
 
 
-def _phase_kernel(
-    state: np.ndarray, cuts: np.ndarray, gamma, out: np.ndarray | None = None
-) -> None:
-    """In place: multiply the amplitude of each basis state z by exp(-i * gamma * cut(z)).
+def _phase_table(gamma, c_max: int) -> np.ndarray:
+    """exp(-i * gamma * c) for each cut value c = 0..c_max, along the last
+    axis, so the phase is computed once per distinct value; `gamma` may be
+    an array of angles."""
+    return np.exp(np.multiply.outer(-1j * gamma, np.arange(c_max + 1.0)))
 
-    `cuts` holds the cut values as integers, so the phase is computed once
-    per distinct value and gathered into `out`, an array of the state's
-    shape; without it one is made. A 2-D state holds one state per row, and
-    `gamma` then holds one angle per row.
-    """
+
+def _phase_kernel(
+    state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out: np.ndarray | None = None
+) -> None:
+    """In place: multiply the amplitude of each basis state z by its phase
+    table[..., cut(z)] from `_phase_table`, gathered by the intp indices
+    `cuts` into `out`, an array of the state's shape (without it one is
+    made). A 2-D state holds one state per row, and `table` one row each."""
     if out is None:
         out = np.empty_like(state)
-    table = np.exp(np.multiply.outer(-1j * gamma, np.arange(cuts.max() + 1.0)))
     # "wrap", not the default "raise", which gathers into a copy of `out`;
-    # every index is in range, so it changes no value. numpy still widens
-    # the byte-wide indices to a temporary intp array (4 MiB at n = 20).
+    # every index is in range, so it changes no value.
     state *= np.take(table, cuts, axis=-1, out=out, mode="wrap")
 
 
-def _passes(state: np.ndarray, scratch: np.ndarray, c, s, qubits: int) -> None:
-    """One pass for each of the qubits 0..qubits-1 of `state`: each pair
-    (a, b) of amplitudes 2^q apart becomes c * (a, b) + s * (b, a). A 2-D
-    state holds one state per row, with c and s of shape (rows, 1, 1, 1)."""
-    rows = state.shape[:-1]
-    for q in range(qubits):
-        shape = (*rows, -1, 2, 1 << q)
-        view = state.reshape(shape)
-        swapped = scratch.reshape(shape)
-        np.multiply(view[..., ::-1, :], s, out=swapped)
-        view *= c
-        view += swapped
-
-
-def _straddling_pass(view: np.ndarray, swapped: np.ndarray, c: float, s: complex) -> None:
-    """The pass of `_passes` on pairs (view[0, j], view[1, j]) of a 2-row view."""
-    np.multiply(view[::-1], s, out=swapped)
+def _pass(view: np.ndarray, swapped: np.ndarray, c, s) -> None:
+    """Each pair (a, b) = (view[..., 0, j], view[..., 1, j]) becomes
+    c * (a, b) + s * (b, a); `swapped`, of the view's shape, is overwritten."""
+    np.multiply(view[..., ::-1, :], s, out=swapped)
     view *= c
     view += swapped
 
 
-def _combine(state: np.ndarray, scratch: np.ndarray, c: float) -> None:
+def _passes(block: np.ndarray, scratch: np.ndarray, c, s, qubits: int) -> None:
+    """`_pass` for each of the qubits 0..qubits-1 of each row of `block`,
+    whose pairs are amplitudes 2^q apart."""
+    for q in range(qubits):
+        shape = (len(block), -1, 2, 1 << q)
+        _pass(block.reshape(shape), scratch.reshape(shape), c, s)
+
+
+def _combine(state: np.ndarray, scratch: np.ndarray, c) -> None:
     state *= c
     state += scratch
 
 
-def _mixer_rows(block: np.ndarray, betas: list[float], n: int) -> None:
-    """`_mixer_kernel` on each row of a (rows, 2^(n-1)) block, row r with
-    angle betas[r], by the same operations on every amplitude."""
-    # math, not np.cos: numpy's vector cos may round differently.
-    c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
-    s = np.array([-1j * math.sin(b) for b in betas])[:, None]
-    scratch = np.empty_like(block)
-    _passes(block, scratch, c[..., None, None], s[..., None, None], n - 1)
-    np.multiply(block[:, ::-1], s, out=scratch)
-    _combine(block, scratch, c)
-
-
 def _mixer_kernel(
-    state: np.ndarray, beta: float, n: int, scratch: np.ndarray | None = None
+    block: np.ndarray, betas, n: int, scratch: np.ndarray | None = None
 ) -> None:
-    """In place: apply exp(-i * beta * X) to each of the n qubits of a
-    flip-symmetric state, given as its low half (length 2^(n-1)). `scratch`,
-    an array of the state's shape, is overwritten; without it one is made."""
+    """In place: apply exp(-i * betas[r] * X) to each of the n qubits of row
+    r of `block`, a (rows, 2^(n-1)) array of flip-symmetric states, each
+    given as its low half. `scratch`, an array of the block's shape, is
+    overwritten; without it one is made."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
-    # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-state ops.
-    # One scratch state serves every pass; a fresh one per pass raised the
-    # peak memory at n = 20 by a state's size.
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
+    # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-block
+    # ops. One scratch serves every pass; a fresh one per pass raised the
+    # peak memory at n = 20 by a state's size. math, not np.cos: numpy's
+    # vector cos may round differently.
+    if len(betas) == 1:
+        # Scalars broadcast over the one row, and cost less to make than arrays.
+        c, s = math.cos(betas[0]), -1j * math.sin(betas[0])
+        c_pass, s_pass = c, s
+    else:
+        # (rows, 1) for whole rows, (rows, 1, 1, 1) for the passes' 4-D views.
+        c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
+        s = np.array([-1j * math.sin(b) for b in betas])[:, None]
+        c_pass, s_pass = c[..., None, None], s[..., None, None]
     if scratch is None:
-        scratch = np.empty_like(state)
-    if state.size < _SPLIT_MIN_AMPLITUDES or _cpus() < 2:
-        _passes(state, scratch, c, s, n - 1)
-        # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
-        # complement 2^(n-1) - 1 - z: the low half reversed.
-        np.multiply(state[::-1], s, out=scratch)
-        _combine(state, scratch, c)
+        scratch = np.empty_like(block)
+    # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
+    # complement 2^(n-1) - 1 - z: the row reversed.
+    reverse = block[:, ::-1]
+    if len(block) > 1 or block.size < _SPLIT_MIN_AMPLITUDES or _cpus() < 2:
+        _passes(block, scratch, c_pass, s_pass, n - 1)
+        np.multiply(reverse, s, out=scratch)
+        _combine(block, scratch, c)
         return
-    # The same operations on two disjoint halves of every pass, one half on
-    # the helper thread, so each amplitude gets the same bits as above.
-    m = state.size // 2
-    # Qubits 0..n-3 pair amplitudes within each half of the state.
-    _in_two(_passes, (state[:m], scratch[:m], c, s, n - 2), (state[m:], scratch[m:], c, s, n - 2))
+    # The same operations on two disjoint halves of every pass of the one
+    # row, one half on the helper thread, so each amplitude gets the same
+    # bits as above.
+    m = block.size // 2
+    lo, hi = np.s_[:, :m], np.s_[:, m:]
+    # Qubits 0..n-3 pair amplitudes within each half of the row.
+    _in_two(_passes, (block[lo], scratch[lo], c, s, n - 2), (block[hi], scratch[hi], c, s, n - 2))
     if n >= 2:
         # Qubit n-2 pairs z in one half with z + m in the other: split the pairs.
         k = m // 2
-        view, swapped = state.reshape(2, m), scratch.reshape(2, m)
-        low = (view[:, :k], swapped[:, :k], c, s)
-        _in_two(_straddling_pass, low, (view[:, k:], swapped[:, k:], c, s))
+        view, swapped = block.reshape(2, m), scratch.reshape(2, m)
+        _in_two(_pass, (view[:, :k], swapped[:, :k], c, s), (view[:, k:], swapped[:, k:], c, s))
     # Qubit n-1 reads each half's partner from the other half, so every
     # partner is read before any amplitude changes.
-    reverse = state[::-1]
-    _in_two(np.multiply, (reverse[:m], s, scratch[:m]), (reverse[m:], s, scratch[m:]))
-    _in_two(_combine, (state[:m], scratch[:m], c), (state[m:], scratch[m:], c))
+    _in_two(np.multiply, (reverse[lo], s, scratch[lo]), (reverse[hi], s, scratch[hi]))
+    _in_two(_combine, (block[lo], scratch[lo], c), (block[hi], scratch[hi], c))
 
 
 # The states of one block of rows in `advance_probes`, with the mixer's
@@ -270,10 +266,11 @@ class ExpectationEvaluator:
     same kernel calls on the same bits, so every result is bit-identical to
     a fresh evaluator's. States are held as their low half (see the module
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
-    the deepest p seen, 56 MiB at n = 20, p = 8. Two more half states, first
-    written by the first evaluation and reused by every later one, hold the
-    working state and the scratch of its kernels and probabilities (16 MiB
-    at n = 20). Because calls read and write all of these, an evaluator
+    the deepest p seen, 56 MiB at n = 20, p = 8.
+
+    Every evaluation runs through one layer loop, `_layers`, in working
+    states that grow from one row to a probe block (see the module
+    docstring). Because calls read and write all of these, an evaluator
     must not be shared between threads.
 
     It also keeps the values that `advance_probes` last computed ahead,
@@ -286,21 +283,20 @@ class ExpectationEvaluator:
             raise ValueError(f"n={g.n} exceeds the simulator guard of {MAX_QUBITS} qubits")
         self.graph = g
         self._cuts = cut_table(g)
-        # A simple graph on at most MAX_QUBITS = 20 vertices has at most 190
-        # edges, so every cut value fits in one byte. The phase kernel needs
-        # the low half only; it holds every value, as cut(z) = cut(z^).
-        self._cut_index = self._cuts[: 1 << (g.n - 1)].astype(np.uint8)
+        # The phase kernel needs the low half only; it holds every value, as
+        # cut(z) = cut(z^). Held as the intp indices that np.take gathers by,
+        # so a gather makes no widened copy.
+        self._cut_index = self._cuts[: 1 << (g.n - 1)].astype(np.intp)
         self.c_max = int(self._cut_index.max())
         # Rows (gammas, betas) of the last call, and _after[j], the state
         # after its layers 1..j+1, for j < p - 1. Buffers are reused in place.
         # Before the first call, one NaN layer: nothing to resume.
         self._angles = np.full((2, 1), np.nan)
         self._after: list[np.ndarray] = []
-        # The working state of `_half`, and one scratch that its phase
-        # gather, its mixer and `_value`'s probabilities share in turn. Their
-        # pages are first written by the first evaluation.
-        self._state = np.empty(1 << (g.n - 1), dtype=complex)
-        self._scratch = np.empty_like(self._state)
+        # The working states of `_layers`, one per row, and its scratch. One
+        # row until the first probe block grows them.
+        self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
+        self._scratch = np.empty_like(self._states)
         # Values computed ahead by `advance_probes`, keyed by the bytes of
         # their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
@@ -312,31 +308,49 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=0)
         return int(np.logical_and.accumulate(same).sum())
 
+    def _layers(self, angles: np.ndarray, starts: list[int], store: bool) -> np.ndarray:
+        """The low halves of the ansatz states at the (gammas, betas) arrays
+        angles[r], as rows of the working states, which the next call
+        overwrites. Row r resumes after its first starts[r] layers (sorted),
+        shared with the last call; every later layer runs once on all rows
+        started so far. With `store`, the one row is the new last call, and
+        its states after layers 1..p-1 are stored."""
+        n, (rows, _, p) = self.graph.n, angles.shape
+        if rows > len(self._states):
+            self._states = np.empty((rows, 1 << (n - 1)), dtype=complex)
+            self._scratch = np.empty_like(self._states)
+        states, scratch = self._states[:rows], self._scratch[:rows]
+        gammas, betas = angles.transpose(1, 2, 0)
+        # The phases of every layer at once: one table per layer and row.
+        first = starts[0]
+        tables = _phase_table(gammas[first:], self.c_max)
+        started = 0
+        for j in range(first, p):
+            if started < rows:
+                # The rows that share j layers start here, from the stored state.
+                stop = bisect.bisect_right(starts, j, started)
+                states[started:stop] = self._after[j - 1] if j else 2.0 ** (-n / 2)
+                started = stop
+                block, work = states[:started], scratch[:started]
+            _phase_kernel(block, self._cut_index, tables[j - first, :started], work)
+            _mixer_kernel(block, betas[j, :started], n, work)
+            if store and j < p - 1:
+                if j == len(self._after):
+                    self._after.append(np.empty_like(block[0]))
+                np.copyto(self._after[j], block[0])
+        return states
+
     def _half(self, angles: np.ndarray) -> np.ndarray:
         """The low half of the ansatz state at the (gammas, betas) rows
         `angles`, in the evaluator's own array, which the next call
         overwrites."""
-        n, p = self.graph.n, angles.shape[1]
         k = self._shared_layers(angles)
-        state, scratch = self._state, self._scratch
-        if k:
-            np.copyto(state, self._after[k - 1])
-        else:
-            state.fill(2.0 ** (-n / 2))
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
-        gammas, betas = angles.tolist()
-        for j in range(k, p):
-            _phase_kernel(state, self._cut_index, gammas[j], scratch)
-            _mixer_kernel(state, betas[j], n, scratch)
-            if j == p - 1:
-                break
-            if j == len(self._after):
-                self._after.append(np.empty_like(state))
-            np.copyto(self._after[j], state)
+        half = self._layers(angles[None], [k], store=True)[0]
         self._angles = angles
-        return state
+        return half
 
     def prepare(self, phi: Parameters) -> np.ndarray:
         """|+>^n followed by p alternating (phase separator, mixer) layers.
@@ -365,7 +379,7 @@ class ExpectationEvaluator:
         # The full probability vector, the low half then its reverse, in the
         # scratch, and summed in index order: 2 * (low half @ low cuts) would
         # round differently and move the optimizer's path.
-        probs = self._scratch.view(np.float64)
+        probs = self._scratch[0].view(np.float64)
         low, high = probs[: half.size], probs[half.size :]
         np.square(half.real, out=low)
         low += np.square(half.imag, out=high)
@@ -380,14 +394,14 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     `angles` has shape (k, 2, p): row r is the (gammas, betas) array of one
     point, such as a finite-difference gradient probe. The rows that qualify
     (same depth as the last call, every angle but the pair of one layer j
-    bit-equal to it, no NaN) are sorted by j, and each starts from the state
-    that the evaluator stored before layer j. Every later layer then runs
-    once on all rows started so far, as a 2-D state of one probe per row
-    with per-row angles. Each element gets the same operations as on the
-    one-row path, so every value is bit-identical to `expectation`'s. The
-    values replace the evaluator's kept ones, and `expectation` returns one
-    when called with bit-equal angles; nothing else of the evaluator
-    changes, so the other rows are computed one at a time, as before.
+    bit-equal to it, no NaN) are sorted by j and run as blocks of the
+    evaluator's layer loop, each row starting from the state stored after
+    layer j and storing nothing. Each element gets the same operations as
+    in a one-row call, so every value is bit-identical to `expectation`'s.
+    The values replace the evaluator's kept ones, and `expectation` returns
+    one when called with bit-equal angles; nothing else of the evaluator
+    changes, apart from its working states, so the other rows are computed
+    one at a time, as before.
 
     Rows run in blocks of at most 1 MiB of states and scratch; from n = 16
     a block has room for one row only and nothing is computed ahead.
@@ -407,28 +421,12 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     kept = {}
     for first in range(0, picked.size, rows_max):
         block = picked[first : first + rows_max]
-        values = _advance(evaluator, angles[block], layer[block].tolist())
+        states = evaluator._layers(angles[block], layer[block].tolist(), store=False)
+        # One 1-D product per row, as in `expectation`: a matrix product
+        # rounds differently.
+        values = [evaluator._value(state) for state in states]
         kept.update(zip((angles[r].tobytes() for r in block), values))
     evaluator._kept = kept
-
-
-def _advance(evaluator: ExpectationEvaluator, angles: np.ndarray, layer: list[int]) -> list[float]:
-    """The values at the rows of `angles`, row r differing from the last
-    call in layer `layer[r]` only; `layer` is sorted."""
-    n, p = evaluator.graph.n, angles.shape[2]
-    gammas, betas = angles.transpose(1, 2, 0).tolist()
-    states = np.empty((len(layer), 1 << (n - 1)), dtype=complex)
-    started = 0
-    for j in range(layer[0], p):
-        # The rows that differ in layer j start here, from the stored state.
-        stop = bisect.bisect_right(layer, j, started)
-        states[started:stop] = evaluator._after[j - 1] if j else 2.0 ** (-n / 2)
-        started = stop
-        _phase_kernel(states[:started], evaluator._cut_index, np.array(gammas[j][:started]))
-        _mixer_rows(states[:started], betas[j][:started], n)
-    # One 1-D product per row, as in `expectation`: a matrix product rounds
-    # differently.
-    return [evaluator._value(state) for state in states]
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import Graph, GraphClass, gen_random_regular
 from qaoa_maxcut.optimize import (
     GENERAL_BOUNDS,
@@ -201,17 +200,17 @@ class TestPrefetch:
     def test_non_finite_batched_probe_is_accounted_as_on_the_plain_path(self, monkeypatch):
         g = gen_random_regular(8, 3, 2)
         phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
-        advance, poisoned = simulator._advance, []
+        layers, poisoned = ExpectationEvaluator._layers, []
 
-        def poisoning(evaluator, angles, layer):
-            values = advance(evaluator, angles, layer)
-            if not poisoned:  # the first gradient, on a probe of its middle layer
-                r = layer.index(1)
+        def poisoning(evaluator, angles, starts, store):
+            states = layers(evaluator, angles, starts, store)
+            if not store and not poisoned:  # the first gradient, on a probe of its middle layer
+                r = starts.index(1)
                 poisoned.append(angles[r].tobytes())
-                values[r] = math.nan
-            return values
+                states[r] = math.nan
+            return states
 
-        monkeypatch.setattr(simulator, "_advance", poisoning)
+        monkeypatch.setattr(ExpectationEvaluator, "_layers", poisoning)
         ev = ExpectationEvaluator(g)
 
         def batched(phi):

@@ -33,6 +33,7 @@ from qaoa_maxcut.simulator import (
     Parameters,
     _mixer_kernel,
     _phase_kernel,
+    _phase_table,
     advance_probes,
     expectation_dense_oracle,
 )
@@ -49,7 +50,8 @@ def plus_state(n: int) -> np.ndarray:
 
 def phased(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
     out = state.copy()
-    _phase_kernel(out, cut_table(g).astype(np.intp), gamma)
+    cuts = cut_table(g).astype(np.intp)
+    _phase_kernel(out, cuts, _phase_table(gamma, int(cuts.max())))
     return out
 
 
@@ -57,9 +59,9 @@ def mixed(state: np.ndarray, beta: float) -> np.ndarray:
     # The kernel takes a flip-symmetric state, amp(z) = amp(z^), as its low
     # half; the complement of z is 2^n - 1 - z, so the state is a palindrome.
     assert np.array_equal(state, state[::-1]), "mixer input must be flip-symmetric"
-    out = state[: state.size // 2].copy()
-    _mixer_kernel(out, beta, state.size.bit_length() - 1)
-    return np.concatenate((out, out[::-1]))
+    out = state[None, : state.size // 2].copy()
+    _mixer_kernel(out, [beta], state.size.bit_length() - 1)
+    return np.concatenate((out[0], out[0, ::-1]))
 
 
 def mirrored(v: np.ndarray) -> np.ndarray:
@@ -645,13 +647,13 @@ class TestAdvanceProbes:
         rows = probe_rows(x, lower, upper)
         ev = ExpectationEvaluator(g)
         ev.expectation(Parameters.from_array(x))
-        kernel, blocks = simulator._mixer_rows, []
+        kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n):
+        def counting(block, betas, n, scratch=None):
             blocks.append(len(block))
-            kernel(block, betas, n)
+            kernel(block, betas, n, scratch)
 
-        monkeypatch.setattr(simulator, "_mixer_rows", counting)
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         advance_probes(ev, rows.reshape(len(rows), 2, p))
         assert set(ev._kept) == one_layer_probes(x, rows)
         assert max(blocks) == 4
@@ -673,7 +675,7 @@ class TestAdvanceProbes:
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_gradient_probes_advance_2p_p_plus_1_row_layers(self, p, monkeypatch):
         # The plain path's count (test_gradient_probes_resume_from_the_base_point),
-        # now as rows of p calls of the row kernel and no one-row call.
+        # now as rows of p kernel calls on blocks and no one-row call.
         ev = ExpectationEvaluator(gen_erdos_renyi(6, 0.6, 4))
         x = random_phi(np.random.default_rng(43), p).to_array()
 
@@ -681,15 +683,13 @@ class TestAdvanceProbes:
             return ev.expectation(Parameters.from_array(y))
 
         objective(x)
-        row_kernel, rows = simulator._mixer_rows, []
+        kernel, rows, one_row = simulator._mixer_kernel, [], []
 
-        def counting(block, betas, n):
-            rows.append(len(betas))
-            row_kernel(block, betas, n)
+        def counting(block, betas, n, scratch=None):
+            (rows if len(betas) > 1 else one_row).append(len(betas))
+            kernel(block, betas, n, scratch)
 
-        one_row = []
-        monkeypatch.setattr(simulator, "_mixer_rows", counting)
-        monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: one_row.append(a))
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
         _fd_gradient(
             objective,
@@ -712,27 +712,27 @@ class TestAdvanceProbes:
         rows = probe_rows(x, lower, upper)
         advance_probes(ev, rows.reshape(len(rows), 2, 3))
         assert len(ev._kept) == len(rows)
-        row_kernel, calls = simulator._mixer_rows, []
+        kernel, calls = simulator._mixer_kernel, []
 
-        def failing_second(block, betas, n):
+        def failing_second(block, betas, n, scratch=None):
             calls.append(betas)
             if len(calls) == 2:
                 raise MemoryError
-            row_kernel(block, betas, n)
+            kernel(block, betas, n, scratch)
 
-        monkeypatch.setattr(simulator, "_mixer_rows", failing_second)
+        monkeypatch.setattr(simulator, "_mixer_kernel", failing_second)
         with pytest.raises(MemoryError):
             advance_probes(ev, rows.reshape(len(rows), 2, 3))
-        monkeypatch.setattr(simulator, "_mixer_rows", row_kernel)
+        monkeypatch.setattr(simulator, "_mixer_kernel", kernel)
         assert ev._kept == {}
         # The stored states are still x's: a probe of the last layer computes one layer.
         phi = Parameters.from_array(rows[0])
         fresh = ExpectationEvaluator(g).expectation(phi)
-        kernel, one_row = simulator._mixer_kernel, []
+        one_row = []
 
-        def counting(state, beta, n, scratch=None):
-            one_row.append(beta)
-            kernel(state, beta, n, scratch)
+        def counting(block, betas, n, scratch=None):
+            one_row.append(betas)
+            kernel(block, betas, n, scratch)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         assert ev.expectation(phi).hex() == fresh.hex()
@@ -744,17 +744,25 @@ class TestSplitMixer:
     must get the same bits as on one thread."""
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 12), beta=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
-    def test_split_matches_one_thread_bit_for_bit(self, n, beta, seed):
+    @given(
+        n=st.integers(1, 12),
+        betas=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_matches_one_thread_bit_for_bit(self, n, betas, seed):
+        # A block of one row is split; a block of several is not, and each
+        # of its rows must still get the bits of that row mixed alone.
         rng = np.random.default_rng(seed)
-        half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
-        one, split = half.copy(), half.copy()
+        shape = (len(betas), 1 << (n - 1))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        one, split = block.copy(), block.copy()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_cpus", lambda: 1)
-            _mixer_kernel(one, beta, n)
+            for row, beta in zip(one, betas):
+                _mixer_kernel(row[None], [beta], n)
             patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             patch.setattr(simulator, "_cpus", lambda: 2)
-            _mixer_kernel(split, beta, n)
+            _mixer_kernel(split, betas, n)
         assert split.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("side", ["caller", "helper"])
@@ -771,14 +779,14 @@ class TestSplitMixer:
     def test_forked_child_completes_a_split_mixer(self, monkeypatch):
         monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
-        state = plus_state(6)[:32]
-        _mixer_kernel(state, 0.3, 6)
+        state = plus_state(6)[None, :32]
+        _mixer_kernel(state, [0.3], 6)
         assert simulator._helper is not None
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                _mixer_kernel(state, 0.3, 6)
+                _mixer_kernel(state, [0.3], 6)
                 code = 0
             finally:
                 os._exit(code)
@@ -807,14 +815,14 @@ class TestSplitMixer:
         monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_helper", None)
         rng = np.random.default_rng(53)
-        starts = [rng.normal(size=256) + 1j * rng.normal(size=256) for _ in range(6)]
+        starts = [rng.normal(size=(1, 256)) + 1j * rng.normal(size=(1, 256)) for _ in range(6)]
         expected = []
         for start in starts:
             one = start.copy()
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_cpus", lambda: 1)
                 for beta in (0.4, 1.1, 2.5):
-                    _mixer_kernel(one, beta, 9)
+                    _mixer_kernel(one, [beta], 9)
             expected.append(one.tobytes())
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         results = [None] * len(starts)
@@ -822,7 +830,7 @@ class TestSplitMixer:
         def caller(i):
             state = starts[i].copy()
             for beta in (0.4, 1.1, 2.5):
-                _mixer_kernel(state, beta, 9)
+                _mixer_kernel(state, [beta], 9)
             results[i] = state.tobytes()
 
         threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(starts))]
@@ -846,14 +854,15 @@ class TestSplitMixer:
         monkeypatch.setattr(simulator, "_cpus", lambda: 1)
         monkeypatch.setattr(simulator, "_helper", None)
         threads = threading.active_count()
-        _mixer_kernel(plus_state(6)[:32], 0.3, 6)
+        _mixer_kernel(plus_state(6)[None, :32], [0.3], 6)
         assert simulator._helper is None
         assert threading.active_count() == threads
 
 
 class TestWorkArrays:
-    """A warm evaluator computes into its own working state and scratch, and
-    `prepare` hands out a new array."""
+    """A warm evaluator computes into its own working states and scratch,
+    for one point or a block of probes, and `prepare` hands out a new
+    array."""
 
     @pytest.fixture(params=["one thread", "split"])
     def path(self, request, monkeypatch):
@@ -884,6 +893,50 @@ class TestWorkArrays:
             tracemalloc.stop()
         assert got == expected
 
+    def test_a_warm_resumed_call_gathers_without_a_widened_index(self, path):
+        # The phase gather reads the cut index as it is held: no 2^(n-1)
+        # intp copy of it per layer.
+        g = gen_random_regular(16, 3, 1)
+        x = random_phi(np.random.default_rng(59), 3)
+        resumed = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
+        ev = ExpectationEvaluator(g)
+        ev.expectation(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            value = ev.expectation(resumed)
+            assert tracemalloc.get_traced_memory()[1] - before < (1 << 15) * 8
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == ExpectationEvaluator(g).expectation(resumed).hex()
+
+    def test_a_warm_probe_block_allocates_less_than_a_row(self):
+        # The first block grows the working states to the block; the next
+        # one computes in them. numpy's ufuncs buffer strided operands in
+        # arrays of up to np.getbufsize() elements (128 KiB by default), at
+        # any block size; with those capped at 4 KiB, the peak shows the
+        # evaluator's own arrays.
+        g = gen_erdos_renyi(12, 0.5, 5)
+        x = random_phi(np.random.default_rng(67), 2).to_array()
+        lower, upper = GENERAL_BOUNDS.box(2)
+        rows = probe_rows(x, lower, upper).reshape(-1, 2, 2)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        advance_probes(ev, rows)
+        with np.errstate():
+            np.setbufsize(256)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                advance_probes(ev, rows)
+                assert tracemalloc.get_traced_memory()[1] - before < (1 << 11) * 16
+            finally:
+                tracemalloc.stop()
+        assert len(ev._kept) == len(rows)
+        for y in rows:
+            phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
     def test_writing_into_a_prepared_state_changes_no_later_value(self, path):
         g = gen_random_regular(16, 3, 2)
         x = random_phi(np.random.default_rng(61), 3)
@@ -893,7 +946,7 @@ class TestWorkArrays:
         for phi in (x, x, nudged, x):
             state = ev.prepare(phi)
             assert state.tobytes() == fresh[phi]
-            for own in [ev._state, ev._scratch, *ev._after]:
+            for own in [ev._states, ev._scratch, *ev._after]:
                 assert not np.shares_memory(state, own)
             state[:] = 7.0
             value = ev.expectation(phi)

@@ -231,19 +231,17 @@ class TestNonAdiabaticProgression:
     def test_depth_one_refinement_advances_gradient_probes_together(self, monkeypatch):
         from qaoa_maxcut import simulator
 
-        row_kernel, one_row_kernel = simulator._mixer_rows, simulator._mixer_kernel
+        kernel = simulator._mixer_kernel
         row_layers, one_row = [], []
 
-        def rows(block, betas, n):
-            row_layers.append(len(betas))
-            row_kernel(block, betas, n)
+        def counting(block, betas, n, scratch=None):
+            if len(betas) > 1:
+                row_layers.append(len(betas))
+            else:
+                one_row.append(betas[0])
+            kernel(block, betas, n, scratch)
 
-        def one(state, beta, n, scratch=None):
-            one_row.append(beta)
-            one_row_kernel(state, beta, n, scratch)
-
-        monkeypatch.setattr(simulator, "_mixer_rows", rows)
-        monkeypatch.setattr(simulator, "_mixer_kernel", one)
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         non_adiabatic_progression(gen_random_regular(8, 3, 3), max_depth=1)
         # The 24 x 24 grid runs one row at a time; the refinement's probes do not.
         assert sum(row_layers) > 0
