@@ -15,24 +15,26 @@ Every evaluation runs through the evaluator's one layer loop on a block of
 half states, one per row, with per-row angles. A call of `expectation` or
 `prepare` is a block of one row, which resumes from its stored prefix state
 and stores its own. `advance_probes` computes a point's finite-difference
-gradient probes ahead in blocks of many rows (at most about 1 MiB, so only
-up to n = 15), each row starting at the one layer it changes; the evaluator
-keeps their values and `expectation` returns them. A row gets the same
-operations on the same bits whatever the block's size, so every value is
-bit-identical to a one-row call's.
+gradient probes ahead in blocks of many rows (at most about 1 MiB each),
+each row starting at the one layer it changes; the evaluator keeps their
+values and `expectation` returns them. A row gets the same operations on
+the same bits whatever the block's size, so every value is bit-identical to
+a one-row call's.
 
-The loop computes in the evaluator's working states and one scratch, which
-serves in turn as the phase gather buffer, the mixer's scratch and the full
-probability vector. They hold one row (16 MiB together at n = 20) until the
-first `advance_probes` block grows them, so a warm evaluation allocates no
-state, apart from a prefix state stored for the first time.
+The loop computes in a lane's working states and one scratch, which serves
+in turn as the phase gather buffer, the mixer's scratch and the full
+probability vector. Lane 0 holds one row (16 MiB together at n = 20) until
+the first `advance_probes` block grows it, so a warm evaluation allocates
+no state, apart from a prefix state stored for the first time.
 
-A one-row block of 2 MiB or more (n >= 18) has each mixer pass split into
-two disjoint halves, one of them run by a single helper thread, when the
-process may run on at least 2 CPUs. Every amplitude gets the same
-operations either way, so results are bit-identical. The helper thread is
-started on the first split and serves the whole process; a forked child
-starts its own.
+One helper thread serves two jobs, when the process may run on at least 2
+CPUs. A one-row block of 2 MiB or more (n >= 18) has each mixer pass split
+into two disjoint halves, one of them run by the helper. At 13 <= n <= 17,
+`advance_probes` deals the probe rows to two lanes, each with its own
+working arrays, and the helper runs lane 1; a lane's rows are too small for
+the mixer to split. Every amplitude gets the same operations either way, so
+results are bit-identical. The helper thread is started on first use and
+serves the whole process; a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ DENSE_ORACLE_MAX_QUBITS = 8
 # at n = 14, where handing work to the helper costs more than it saves.
 _SPLIT_MIN_AMPLITUDES = 1 << 17
 
-# The executor of the one helper thread, made on the first split. Like a BLAS
-# thread pool, it serves the whole process.
+# The executor of the one helper thread, made on the first split or two-lane
+# probe advance. Like a BLAS thread pool, it serves the whole process. Code
+# running on it must never submit to it: the one worker would wait on itself.
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -239,14 +242,25 @@ def _mixer_kernel(
     _in_two(_combine, (block[lo], scratch[lo], c), (block[hi], scratch[hi], c))
 
 
-# The states of one block of rows in `advance_probes`, with the mixer's
-# scratch: rows * 2^(n-1) * 32 bytes, at most 64 rows at n = 10, 4 at n = 14
-# and 1 from n = 16. On a shared 2-CPU host (medians of nine, G(n, 1/2)),
-# one gradient's probes took 0.44 of the one-row time at n = 10, p = 8,
-# 0.98 at n = 12, p = 8, 0.85-0.97 at n = 14, p = 6 and 0.83-0.91 at
-# n = 15, p = 6. Per-call overhead, which the rows share, is most of a
-# layer's cost at n = 10 only.
+# The states of one block of rows of one lane of `advance_probes`, with the
+# mixer's scratch: rows * 2^(n-1) * 32 bytes, at most 64 rows at n = 10, 4 at
+# n = 14, 2 at n = 15 and 1 from n = 16, where only two lanes compute ahead.
+# On a shared 2-CPU host (medians of nine, G(n, 1/2)), one gradient's probes
+# on one lane took 0.44 of the one-row time at n = 10, p = 8, 0.98 at n = 12,
+# p = 8, 0.85-0.97 at n = 14, p = 6 and 0.83-0.91 at n = 15, p = 6. Per-call
+# overhead, which the rows share, is most of a layer's cost at n = 10 only.
+# Each lane has its own cap: with 512 KiB each, one gradient on two lanes
+# took 1.05-1.19 times as long at n = 13-15.
 _PROBE_BLOCK_BYTES = 1 << 20
+
+# Rows of at least this many amplitudes (n >= 13), and below
+# _SPLIT_MIN_AMPLITUDES, run each gradient's probes on two lanes, one on the
+# helper thread. One FD gradient, in back-to-back batches as an optimization
+# runs them, two lanes over one (medians of six, G(n, 1/2), shared 2-CPU
+# host): 1.22 at n = 10, p = 8; 0.70-0.74 at n = 12; 0.76 at n = 13; 0.60-0.72
+# at n = 14; 0.56 at n = 15; 0.64 at n = 16 and 0.54 at n = 17. An earlier
+# series read 1.01-1.10 at n = 12, so the lanes start at n = 13.
+_LANE_MIN_AMPLITUDES = 1 << 12
 
 
 class ExpectationEvaluator:
@@ -268,10 +282,12 @@ class ExpectationEvaluator:
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
     the deepest p seen, 56 MiB at n = 20, p = 8.
 
-    Every evaluation runs through one layer loop, `_layers`, in working
-    states that grow from one row to a probe block (see the module
-    docstring). Because calls read and write all of these, an evaluator
-    must not be shared between threads.
+    Every evaluation runs through one layer loop, `_layers`, in the working
+    arrays of one lane: states that grow from one row to a probe block, and
+    one scratch (see the module docstring). `advance_probes` may run two
+    lanes at once, one per thread, each in its own set of arrays; lane 1's
+    are made on its first block. Because calls read and write all of these,
+    an evaluator must not be shared between threads.
 
     It also keeps the values that `advance_probes` last computed ahead,
     keyed by the exact bits of their angles, and `expectation` returns one
@@ -293,10 +309,13 @@ class ExpectationEvaluator:
         # Before the first call, one NaN layer: nothing to resume.
         self._angles = np.full((2, 1), np.nan)
         self._after: list[np.ndarray] = []
-        # The working states of `_layers`, one per row, and its scratch. One
-        # row until the first probe block grows them.
-        self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
-        self._scratch = np.empty_like(self._states)
+        # The working states of `_layers`, one per row, and its scratch, per
+        # lane. Lane 0 holds one row until the first probe block grows it;
+        # lane 1 is made on its first block. Neither is made larger here: an
+        # array over 128 KiB made here and freed in set-up moves glibc's
+        # mmap threshold, and with it the cost of later allocations.
+        self._states = [np.empty((1, 1 << (g.n - 1)), dtype=complex)]
+        self._scratch = [np.empty_like(self._states[0])]
         # Values computed ahead by `advance_probes`, keyed by the bytes of
         # their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
@@ -308,18 +327,27 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=0)
         return int(np.logical_and.accumulate(same).sum())
 
-    def _layers(self, angles: np.ndarray, starts: list[int], store: bool) -> np.ndarray:
+    def _grow(self, lanes: int, rows: int) -> None:
+        """Give each of lanes 0..lanes-1 working arrays of at least `rows` rows."""
+        for lane in range(lanes):
+            if lane == len(self._states) or rows > len(self._states[lane]):
+                states = np.empty((rows, self._cut_index.size), dtype=complex)
+                # Replaces the lane's arrays, or appends lane 1's.
+                self._states[lane : lane + 1] = [states]
+                self._scratch[lane : lane + 1] = [np.empty_like(states)]
+
+    def _layers(
+        self, angles: np.ndarray, starts: list[int], store: bool, lane: int = 0
+    ) -> np.ndarray:
         """The low halves of the ansatz states at the (gammas, betas) arrays
-        angles[r], as rows of the working states, which the next call
-        overwrites. Row r resumes after its first starts[r] layers (sorted),
-        shared with the last call; every later layer runs once on all rows
-        started so far. With `store`, the one row is the new last call, and
-        its states after layers 1..p-1 are stored."""
+        angles[r], as rows of the lane's working states, which the lane's
+        next call overwrites; `_grow` has given them room. Row r resumes
+        after its first starts[r] layers (sorted), shared with the last
+        call; every later layer runs once on all rows started so far. With
+        `store`, the one row is the new last call, and its states after
+        layers 1..p-1 are stored."""
         n, (rows, _, p) = self.graph.n, angles.shape
-        if rows > len(self._states):
-            self._states = np.empty((rows, 1 << (n - 1)), dtype=complex)
-            self._scratch = np.empty_like(self._states)
-        states, scratch = self._states[:rows], self._scratch[:rows]
+        states, scratch = self._states[lane][:rows], self._scratch[lane][:rows]
         gammas, betas = angles.transpose(1, 2, 0)
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
@@ -374,12 +402,12 @@ class ExpectationEvaluator:
                 return kept
         return self._value(self._half(angles))
 
-    def _value(self, half: np.ndarray) -> float:
+    def _value(self, half: np.ndarray, lane: int = 0) -> float:
         """The expectation of the state whose low half is `half`."""
         # The full probability vector, the low half then its reverse, in the
-        # scratch, and summed in index order: 2 * (low half @ low cuts) would
-        # round differently and move the optimizer's path.
-        probs = self._scratch[0].view(np.float64)
+        # lane's scratch, and summed in index order: 2 * (low half @ low
+        # cuts) would round differently and move the optimizer's path.
+        probs = self._scratch[lane][0].view(np.float64)
         low, high = probs[: half.size], probs[half.size :]
         np.square(half.real, out=low)
         low += np.square(half.imag, out=high)
@@ -403,30 +431,48 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     changes, apart from its working states, so the other rows are computed
     one at a time, as before.
 
-    Rows run in blocks of at most 1 MiB of states and scratch; from n = 16
-    a block has room for one row only and nothing is computed ahead.
+    Rows run in blocks of at most 1 MiB of states and scratch. From n = 13
+    to n = 17, on a process that may run on 2 CPUs, the rows are dealt
+    alternately to two lanes, and the helper thread runs lane 1, each lane
+    in its own blocks and working arrays; there a block may hold one row.
+    On one lane, from n = 16 a block has room for one row only and nothing
+    is computed ahead.
     """
     evaluator._kept = {}
-    n = evaluator.graph.n
-    rows_max = _PROBE_BLOCK_BYTES // (32 << (n - 1))
+    row = evaluator._cut_index.size
+    # Two lanes where a row pays for the hand-off, and is too small for the
+    # mixer to split: on the helper lane a split would wait on itself. The
+    # size test comes first, so smaller states make no syscall.
+    lanes = 2 if _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and _cpus() >= 2 else 1
+    rows_max = max(1, _PROBE_BLOCK_BYTES // (32 * row))
     angles = np.ascontiguousarray(angles, dtype=float)
     last = evaluator._angles
-    if rows_max < 2 or angles.ndim != 3 or angles.shape[1:] != last.shape:
+    # One lane gains only with room for two rows in a block.
+    if lanes * rows_max < 2 or angles.ndim != 3 or angles.shape[1:] != last.shape:
         return
     same = (angles.view(np.int64) == last.view(np.int64)).all(axis=1)
     qualify = ((~same).sum(axis=1) == 1) & ~np.isnan(angles).any(axis=(1, 2))
     layer = same.argmin(axis=1)
     picked = np.flatnonzero(qualify)
     picked = picked[np.argsort(layer[picked], kind="stable")]
-    kept = {}
-    for first in range(0, picked.size, rows_max):
-        block = picked[first : first + rows_max]
-        states = evaluator._layers(angles[block], layer[block].tolist(), store=False)
-        # One 1-D product per row, as in `expectation`: a matrix product
-        # rounds differently.
-        values = [evaluator._value(state) for state in states]
-        kept.update(zip((angles[r].tobytes() for r in block), values))
-    evaluator._kept = kept
+    kept = [{}, {}]
+
+    def run(lane: int, rows: np.ndarray) -> None:
+        for first in range(0, rows.size, rows_max):
+            block = rows[first : first + rows_max]
+            states = evaluator._layers(angles[block], layer[block].tolist(), False, lane)
+            # One 1-D product per row, as in `expectation`: a matrix product
+            # rounds differently.
+            values = [evaluator._value(state, lane) for state in states]
+            kept[lane].update(zip((angles[r].tobytes() for r in block), values))
+
+    if lanes == 2 and picked.size > 1:
+        evaluator._grow(2, min(rows_max, (picked.size + 1) // 2))
+        _in_two(run, (0, picked[0::2]), (1, picked[1::2]))
+    else:
+        evaluator._grow(1, min(rows_max, picked.size))
+        run(0, picked)
+    evaluator._kept = kept[0] | kept[1]
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

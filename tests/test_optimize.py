@@ -202,8 +202,8 @@ class TestPrefetch:
         phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
         layers, poisoned = ExpectationEvaluator._layers, []
 
-        def poisoning(evaluator, angles, starts, store):
-            states = layers(evaluator, angles, starts, store)
+        def poisoning(evaluator, angles, starts, store, lane=0):
+            states = layers(evaluator, angles, starts, store, lane)
             if not store and not poisoned:  # the first gradient, on a probe of its middle layer
                 r = starts.index(1)
                 poisoned.append(angles[r].tobytes())

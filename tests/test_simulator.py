@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -632,8 +633,24 @@ class TestAdvanceProbes:
         elsewhere = data.draw(st.booleans(), label="cached at another point")
         cached = rng.uniform(lower, upper) if elsewhere else x
         ev.expectation(Parameters.from_array(cached))
-        advance_probes(ev, rows.reshape(len(rows), 2, p))
-        assert set(ev._kept) == one_layer_probes(cached, rows)
+        # Two lanes from n = 2, with the threads that computed rows recorded.
+        lanes = data.draw(st.booleans(), label="two lanes")
+        kernel, threads = simulator._mixer_kernel, set()
+
+        def recording(block, betas, n, scratch=None):
+            threads.add(threading.current_thread())
+            kernel(block, betas, n, scratch)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if lanes:
+                patch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+                patch.setattr(simulator, "_cpus", lambda: 2)
+            patch.setattr(simulator, "_mixer_kernel", recording)
+            advance_probes(ev, rows.reshape(len(rows), 2, p))
+        kept = one_layer_probes(cached, rows)
+        assert set(ev._kept) == kept
+        qualifying = sum(y.reshape(2, p).tobytes() in kept for y in rows)
+        assert len(threads) == (2 if lanes and qualifying >= 2 else min(qualifying, 1))
         for y in rows:
             phi = Parameters.from_array(y)
             assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
@@ -661,16 +678,44 @@ class TestAdvanceProbes:
             phi = Parameters.from_array(y)
             assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
 
-    def test_no_room_for_two_rows_keeps_nothing(self):
-        # From n = 16 a 1 MiB block holds one row: every probe is computed alone.
-        g = gen_random_regular(16, 3, 1)
+    def test_no_room_for_two_rows_keeps_nothing(self, monkeypatch):
+        # From n = 16 a 1 MiB block holds one row: on one lane every probe is
+        # computed alone. From n = 18 the one-row mixer splits instead, so
+        # two CPUs run one lane too.
         lower, upper = GENERAL_BOUNDS.box(1)
         x = np.array([0.4, 0.3])
         rows = probe_rows(x, lower, upper)
+        for n, cpus in [(16, 1), (18, 2)]:
+            monkeypatch.setattr(simulator, "_cpus", lambda cpus=cpus: cpus)
+            ev = ExpectationEvaluator(gen_random_regular(n, 3, 1))
+            ev.expectation(Parameters.from_array(x))
+            advance_probes(ev, rows.reshape(len(rows), 2, 1))
+            assert ev._kept == {}
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_two_lanes_keep_probes_of_one_row_blocks(self, n, monkeypatch):
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_random_regular(n, 3, 3) if n % 2 == 0 else gen_erdos_renyi(n, 0.3, 3)
+        p = 2
+        lower, upper = GENERAL_BOUNDS.box(p)
+        x = np.random.default_rng(n).uniform(lower, upper)
+        rows = probe_rows(x, lower, upper)
         ev = ExpectationEvaluator(g)
         ev.expectation(Parameters.from_array(x))
-        advance_probes(ev, rows.reshape(len(rows), 2, 1))
-        assert ev._kept == {}
+        kernel, blocks = simulator._mixer_kernel, []
+
+        def counting(block, betas, n, scratch=None):
+            blocks.append(len(block))
+            kernel(block, betas, n, scratch)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
+        advance_probes(ev, rows.reshape(len(rows), 2, p))
+        assert set(ev._kept) == one_layer_probes(x, rows)
+        assert set(blocks) == {1}
+        monkeypatch.setattr(simulator, "_mixer_kernel", kernel)
+        for y in rows:
+            phi = Parameters.from_array(y)
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_gradient_probes_advance_2p_p_plus_1_row_layers(self, p, monkeypatch):
@@ -703,26 +748,39 @@ class TestAdvanceProbes:
         assert len(rows) == p
         assert one_row == []
 
-    def test_a_batch_that_raises_keeps_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["one lane", "caller lane", "helper lane"])
+    def test_a_batch_that_raises_keeps_nothing(self, failing, monkeypatch):
         g = gen_erdos_renyi(6, 0.6, 5)
         lower, upper = GENERAL_BOUNDS.box(3)
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        if failing != "one lane":
+            monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+            monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         ev = ExpectationEvaluator(g)
         ev.expectation(Parameters.from_array(x))
         rows = probe_rows(x, lower, upper)
         advance_probes(ev, rows.reshape(len(rows), 2, 3))
         assert len(ev._kept) == len(rows)
-        kernel, calls = simulator._mixer_kernel, []
+        kernel, calls, written, caller = simulator._mixer_kernel, [], [], threading.current_thread()
 
         def failing_second(block, betas, n, scratch=None):
-            calls.append(betas)
-            if len(calls) == 2:
-                raise MemoryError
+            lane = "caller lane" if threading.current_thread() is caller else "helper lane"
+            if failing in ("one lane", lane):
+                calls.append(betas)
+                if len(calls) == 2:
+                    raise MemoryError
+            elif lane == "helper lane":
+                time.sleep(0.02)  # still writing, should the caller not wait
             kernel(block, betas, n, scratch)
+            written.append(lane)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", failing_second)
         with pytest.raises(MemoryError):
             advance_probes(ev, rows.reshape(len(rows), 2, 3))
+        # The helper finished writing before the error reached the caller.
+        done = len(written)
+        time.sleep(0.1)
+        assert len(written) == done
         monkeypatch.setattr(simulator, "_mixer_kernel", kernel)
         assert ev._kept == {}
         # The stored states are still x's: a probe of the last layer computes one layer.
@@ -737,6 +795,79 @@ class TestAdvanceProbes:
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         assert ev.expectation(phi).hex() == fresh.hex()
         assert len(one_row) == 1
+
+    def test_a_lane_never_submits_to_the_helper(self, monkeypatch):
+        # With both thresholds at 1 every row is big enough for a lane, and
+        # every lane's one-row block (n = 16) for a split: a split on the
+        # helper lane would submit to the one helper and wait on itself.
+        monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_random_regular(16, 3, 4)
+        lower, upper = GENERAL_BOUNDS.box(2)
+        x = np.array([0.4, 0.7, 0.3, 0.2])
+        rows = probe_rows(x, lower, upper).reshape(-1, 2, 2)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        in_two, submitters, errors = simulator._in_two, [], []
+
+        def guarded(task, low, high):
+            submitters.append(threading.current_thread())
+            if threading.current_thread() is not worker:
+                # Fail here rather than hang on the helper.
+                raise RuntimeError("the helper submitted to itself")
+            in_two(task, low, high)
+
+        def advance():
+            try:
+                advance_probes(ev, rows)
+            except BaseException as error:
+                errors.append(error)
+
+        monkeypatch.setattr(simulator, "_in_two", guarded)
+        worker = threading.Thread(target=advance)
+        worker.start()
+        worker.join(timeout=60.0)
+        assert not worker.is_alive(), "advance_probes did not finish"
+        assert errors == []
+        assert set(submitters) <= {worker}
+        for y in rows:
+            phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+            kept = ev._kept.get(y.tobytes())
+            assert kept is None or kept.hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
+    def test_lanes_match_one_lane_under_the_default_blas_pool(self):
+        # The values' last bits depend on the BLAS thread count from n = 15
+        # (the probability sum's dot product), which this suite pins to 1;
+        # unpinned, two lanes and one lane must still agree bit for bit.
+        code = """
+import numpy as np
+from qaoa_maxcut import simulator
+from qaoa_maxcut.graphs import gen_erdos_renyi
+from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, GENERAL_BOUNDS, _fd_gradient
+p = 3
+lower, upper = GENERAL_BOUNDS.box(p)
+x = np.random.default_rng(3).uniform(lower, upper)
+rows = []
+_fd_gradient(lambda y: rows.append(y.copy()) or 0.0, x, lower, upper, DEFAULT_GRADIENT_STEP)
+rows = np.array(rows).reshape(-1, 2, p)
+g = gen_erdos_renyi(15, 0.5, 2)
+for cpus in (2, 1):
+    simulator._cpus = lambda: cpus
+    ev = simulator.ExpectationEvaluator(g)
+    ev.expectation(simulator.Parameters.from_array(x))
+    simulator.advance_probes(ev, rows)
+    print(len(ev._kept), *(ev._kept[y.tobytes()].hex() for y in rows))
+"""
+        src = os.path.dirname(os.path.dirname(simulator.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        two, one = out.stdout.splitlines()
+        assert two.split()[0] == "12"
+        assert two == one
 
 
 class TestSplitMixer:
@@ -777,8 +908,20 @@ class TestSplitMixer:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
     def test_forked_child_completes_a_split_mixer(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        # The mixer splits a one-row block of 32 amplitudes (n = 6); at n = 5
+        # rows of 16 run on two lanes.
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 32)
+        monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_erdos_renyi(5, 0.6, 1)
+        x = np.array([0.3, 0.9, 0.5, 0.2])
+        rows = probe_rows(x, *GENERAL_BOUNDS.box(2)).reshape(-1, 2, 2)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        expected = {
+            y.tobytes(): ExpectationEvaluator(g).expectation(Parameters(tuple(y[0]), tuple(y[1])))
+            for y in rows
+        }
         state = plus_state(6)[None, :32]
         _mixer_kernel(state, [0.3], 6)
         assert simulator._helper is not None
@@ -786,8 +929,9 @@ class TestSplitMixer:
         if pid == 0:
             code = 1
             try:
+                advance_probes(ev, rows)
                 _mixer_kernel(state, [0.3], 6)
-                code = 0
+                code = 0 if ev._kept == expected else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 20.0
@@ -799,7 +943,7 @@ class TestSplitMixer:
         else:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in a split mixer")
+            pytest.fail("the forked child hung in a split mixer or on two lanes")
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_concurrent_callers_share_one_helper(self, monkeypatch):
@@ -812,18 +956,27 @@ class TestSplitMixer:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
-        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        # One row of 256 amplitudes (n = 9) splits; probe rows of 32 (n = 6),
+        # each caller's on its own evaluator, run on two lanes.
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 256)
+        monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_helper", None)
         rng = np.random.default_rng(53)
         starts = [rng.normal(size=(1, 256)) + 1j * rng.normal(size=(1, 256)) for _ in range(6)]
+        g = gen_erdos_renyi(6, 0.6, 8)
+        points = [rng.uniform(*GENERAL_BOUNDS.box(2)) for _ in starts]
+        probes = [probe_rows(x, *GENERAL_BOUNDS.box(2)).reshape(-1, 2, 2) for x in points]
         expected = []
-        for start in starts:
+        for start, x, rows in zip(starts, points, probes):
             one = start.copy()
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_cpus", lambda: 1)
                 for beta in (0.4, 1.1, 2.5):
                     _mixer_kernel(one, [beta], 9)
-            expected.append(one.tobytes())
+                ev = ExpectationEvaluator(g)
+                ev.expectation(Parameters.from_array(x))
+                advance_probes(ev, rows)
+            expected.append((one.tobytes(), ev._kept))
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
         results = [None] * len(starts)
 
@@ -831,7 +984,10 @@ class TestSplitMixer:
             state = starts[i].copy()
             for beta in (0.4, 1.1, 2.5):
                 _mixer_kernel(state, [beta], 9)
-            results[i] = state.tobytes()
+            ev = ExpectationEvaluator(g)
+            ev.expectation(Parameters.from_array(points[i]))
+            advance_probes(ev, probes[i])
+            results[i] = (state.tobytes(), ev._kept)
 
         threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(starts))]
         interval = sys.getswitchinterval()
@@ -850,11 +1006,26 @@ class TestSplitMixer:
         assert len(made) == 1
 
     def test_one_cpu_starts_no_helper_thread(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
-        monkeypatch.setattr(simulator, "_cpus", lambda: 1)
         monkeypatch.setattr(simulator, "_helper", None)
         threads = threading.active_count()
-        _mixer_kernel(plus_state(6)[None, :32], [0.3], 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+            patch.setattr(simulator, "_cpus", lambda: 1)
+            _mixer_kernel(plus_state(6)[None, :32], [0.3], 6)
+        assert simulator._helper is None
+        assert threading.active_count() == threads
+        # Nor does advance_probes: on one CPU at n = 13, and at n = 12, where
+        # the row is too small for the CPUs to be asked.
+        asked = []
+        x = np.array([0.4, 0.3])
+        rows = probe_rows(x, *GENERAL_BOUNDS.box(1)).reshape(-1, 2, 1)
+        for n, cpus in [(13, 1), (12, 2)]:
+            monkeypatch.setattr(simulator, "_cpus", lambda n=n, cpus=cpus: asked.append(n) or cpus)
+            ev = ExpectationEvaluator(gen_erdos_renyi(n, 0.3, 1))
+            ev.expectation(Parameters.from_array(x))
+            advance_probes(ev, rows)
+            assert len(ev._kept) == len(rows)
+        assert asked == [13]
         assert simulator._helper is None
         assert threading.active_count() == threads
 
@@ -946,7 +1117,7 @@ class TestWorkArrays:
         for phi in (x, x, nudged, x):
             state = ev.prepare(phi)
             assert state.tobytes() == fresh[phi]
-            for own in [ev._states, ev._scratch, *ev._after]:
+            for own in [*ev._states, *ev._scratch, *ev._after]:
                 assert not np.shares_memory(state, own)
             state[:] = 7.0
             value = ev.expectation(phi)
