@@ -48,12 +48,11 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        specs = tuple(replace(s, seed=args.seed) for s in cfg.instances)
-    else:
-        specs = cfg.instances
+        # Through the config, whose check rejects instances that now share an id.
+        cfg = replace(cfg, instances=tuple(replace(s, seed=args.seed) for s in cfg.instances))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
+    for spec in cfg.instances:
         g = spec.build()
         path = out_dir / f"{spec.instance_id}.edges"
         write_edge_list(g, path)

@@ -12,14 +12,14 @@ vertex n-1 on side 0; the high half is the low half reversed. `prepare`
 returns the full 2^n state, mirrored from the half, in a new array.
 
 Every evaluation runs through the evaluator's one layer loop on a block of
-half states, one per row, with per-row angles. A call of `expectation` or
-`prepare` is a block of one row, which resumes from its stored prefix state
-and stores its own. `advance_probes` computes a point's finite-difference
-gradient probes ahead in blocks of many rows (at most about 1 MiB each),
-each row starting at the one layer it changes; the evaluator keeps their
-values and `expectation` returns them. A row gets the same operations on
-the same bits whatever the block's size, so every value is bit-identical to
-a one-row call's.
+half states, one per row, with per-row angles. Each row resumes after the
+leading layers it shares bit for bit with the last call of `expectation` or
+`prepare`. Such a call is a block of one row, and stores its own prefix
+states. `advance_probes` computes a stack of points ahead, such as a
+point's finite-difference gradient probes, in blocks of many rows (at most
+about 1 MiB each); the evaluator keeps their values and `expectation`
+returns them. A row gets the same operations on the same bits whatever the
+block's size, so every value is bit-identical to a one-row call's.
 
 The loop computes in a lane's working states and one scratch, which serves
 in turn as the phase gather buffer, the mixer's scratch and the full
@@ -158,15 +158,11 @@ def _phase_table(gamma, c_max: int) -> np.ndarray:
     return np.exp(np.multiply.outer(-1j * gamma, np.arange(c_max + 1.0)))
 
 
-def _phase_kernel(
-    state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out: np.ndarray | None = None
-) -> None:
+def _phase_kernel(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
     """In place: multiply the amplitude of each basis state z by its phase
     table[..., cut(z)] from `_phase_table`, gathered by the intp indices
-    `cuts` into `out`, an array of the state's shape (without it one is
-    made). A 2-D state holds one state per row, and `table` one row each."""
-    if out is None:
-        out = np.empty_like(state)
+    `cuts` into `out`, an array of the state's shape. A 2-D state holds one
+    state per row, and `table` one row each."""
     # "wrap", not the default "raise", which gathers into a copy of `out`;
     # every index is in range, so it changes no value.
     state *= np.take(table, cuts, axis=-1, out=out, mode="wrap")
@@ -193,13 +189,11 @@ def _combine(state: np.ndarray, scratch: np.ndarray, c) -> None:
     state += scratch
 
 
-def _mixer_kernel(
-    block: np.ndarray, betas, n: int, scratch: np.ndarray | None = None
-) -> None:
+def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None:
     """In place: apply exp(-i * betas[r] * X) to each of the n qubits of row
     r of `block`, a (rows, 2^(n-1)) array of flip-symmetric states, each
     given as its low half. `scratch`, an array of the block's shape, is
-    overwritten; without it one is made."""
+    overwritten."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
     # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-block
     # ops. One scratch serves every pass; a fresh one per pass raised the
@@ -214,8 +208,6 @@ def _mixer_kernel(
         c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
         s = np.array([-1j * math.sin(b) for b in betas])[:, None]
         c_pass, s_pass = c[..., None, None], s[..., None, None]
-    if scratch is None:
-        scratch = np.empty_like(block)
     # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
     # complement 2^(n-1) - 1 - z: the row reversed.
     reverse = block[:, ::-1]
@@ -274,9 +266,10 @@ class ExpectationEvaluator:
     Consecutive calls mostly share leading layers: each finite-difference
     probe moves one angle, and the layerwise strategy freezes every layer
     but the last. So the evaluator keeps the last call's angles and its
-    states after layers 1..p-1, and a call resumes from the deepest layer
-    whose (gamma_j, beta_j) pairs, and all before it, are bit-equal to the
-    last call's (a NaN angle never matches). A resumed state comes from the
+    states after layers 1..p-1, and a call, or a row that `advance_probes`
+    computes ahead, resumes from the deepest layer whose (gamma_j, beta_j)
+    pairs, and all before it, are bit-equal to the last call's (a NaN angle
+    never matches). A resumed state comes from the
     same kernel calls on the same bits, so every result is bit-identical to
     a fresh evaluator's. States are held as their low half (see the module
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
@@ -320,12 +313,14 @@ class ExpectationEvaluator:
         # their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
 
-    def _shared_layers(self, angles: np.ndarray) -> int:
-        """How many leading layers of `angles` can be resumed from the last call."""
-        m = min(angles.shape[1], self._angles.shape[1]) - 1
-        new, old = angles[:, :m], self._angles[:, :m]
-        same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=0)
-        return int(np.logical_and.accumulate(same).sum())
+    def _shared_layers(self, angles: np.ndarray) -> np.ndarray:
+        """How many leading layers of the (gammas, betas) array `angles`, or
+        of each array of a stack of them, can be resumed from the last call:
+        at most one fewer than either call's depth."""
+        m = min(angles.shape[-1], self._angles.shape[1]) - 1
+        new, old = angles[..., :m], self._angles[:, :m]
+        same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
+        return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
 
     def _grow(self, lanes: int, rows: int) -> None:
         """Give each of lanes 0..lanes-1 working arrays of at least `rows` rows."""
@@ -372,7 +367,7 @@ class ExpectationEvaluator:
         """The low half of the ansatz state at the (gammas, betas) rows
         `angles`, in the evaluator's own array, which the next call
         overwrites."""
-        k = self._shared_layers(angles)
+        k = int(self._shared_layers(angles))
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
@@ -416,20 +411,18 @@ class ExpectationEvaluator:
 
 
 def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
-    """Compute ahead, together, the expectations at those rows of `angles`
-    that differ from the evaluator's last call in exactly one layer.
+    """Compute ahead, together, the expectations at the rows of `angles`.
 
     `angles` has shape (k, 2, p): row r is the (gammas, betas) array of one
-    point, such as a finite-difference gradient probe. The rows that qualify
-    (same depth as the last call, every angle but the pair of one layer j
-    bit-equal to it, no NaN) are sorted by j and run as blocks of the
-    evaluator's layer loop, each row starting from the state stored after
-    layer j and storing nothing. Each element gets the same operations as
-    in a one-row call, so every value is bit-identical to `expectation`'s.
-    The values replace the evaluator's kept ones, and `expectation` returns
-    one when called with bit-equal angles; nothing else of the evaluator
-    changes, apart from its working states, so the other rows are computed
-    one at a time, as before.
+    point, such as a finite-difference gradient probe. Each row resumes
+    after the leading layers it shares with the evaluator's last call, as a
+    call of `expectation` would; the rows are sorted by that count and run
+    as blocks of the evaluator's layer loop, storing nothing. Each element
+    gets the same operations as in a one-row call, so every value is
+    bit-identical to `expectation`'s. The values replace the evaluator's
+    kept ones, and `expectation` returns one when called with bit-equal
+    angles; nothing else of the evaluator changes, apart from its working
+    states. Input of any other shape, or with p = 0, is ignored.
 
     Rows run in blocks of at most 1 MiB of states and scratch. From n = 13
     to n = 17, on a process that may run on 2 CPUs, the rows are dealt
@@ -446,32 +439,28 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     lanes = 2 if _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and _cpus() >= 2 else 1
     rows_max = max(1, _PROBE_BLOCK_BYTES // (32 * row))
     angles = np.ascontiguousarray(angles, dtype=float)
-    last = evaluator._angles
     # One lane gains only with room for two rows in a block.
-    if lanes * rows_max < 2 or angles.ndim != 3 or angles.shape[1:] != last.shape:
+    if lanes * rows_max < 2 or angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
         return
-    same = (angles.view(np.int64) == last.view(np.int64)).all(axis=1)
-    qualify = ((~same).sum(axis=1) == 1) & ~np.isnan(angles).any(axis=(1, 2))
-    layer = same.argmin(axis=1)
-    picked = np.flatnonzero(qualify)
-    picked = picked[np.argsort(layer[picked], kind="stable")]
+    shared = evaluator._shared_layers(angles)
+    order = np.argsort(shared, kind="stable")
     kept = [{}, {}]
 
     def run(lane: int, rows: np.ndarray) -> None:
         for first in range(0, rows.size, rows_max):
             block = rows[first : first + rows_max]
-            states = evaluator._layers(angles[block], layer[block].tolist(), False, lane)
+            states = evaluator._layers(angles[block], shared[block].tolist(), False, lane)
             # One 1-D product per row, as in `expectation`: a matrix product
             # rounds differently.
             values = [evaluator._value(state, lane) for state in states]
             kept[lane].update(zip((angles[r].tobytes() for r in block), values))
 
-    if lanes == 2 and picked.size > 1:
-        evaluator._grow(2, min(rows_max, (picked.size + 1) // 2))
-        _in_two(run, (0, picked[0::2]), (1, picked[1::2]))
+    if lanes == 2 and order.size > 1:
+        evaluator._grow(2, min(rows_max, (order.size + 1) // 2))
+        _in_two(run, (0, order[0::2]), (1, order[1::2]))
     else:
-        evaluator._grow(1, min(rows_max, picked.size))
-        run(0, picked)
+        evaluator._grow(1, min(rows_max, order.size))
+        run(0, order)
     evaluator._kept = kept[0] | kept[1]
 
 

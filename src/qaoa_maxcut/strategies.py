@@ -241,9 +241,7 @@ def _fixing_starts(prev: Parameters, p: int, cfg: StrategyConfig) -> list[Parame
     return [_stack(prev, layer) for layer in _new_layer_starts(p, cfg, cfg.trials - 1)]
 
 
-def base_exhaustion(
-    g: Graph, p: int, cfg: StrategyConfig, *, label: str = "exhaustion"
-) -> DepthRecord:
+def base_exhaustion(g: Graph, p: int, cfg: StrategyConfig) -> DepthRecord:
     """Best of a seeded multistart at depth 1 or 2, establishing the base
     optima that the depth-progressive strategies build on."""
     if p not in (1, 2):
@@ -252,7 +250,7 @@ def base_exhaustion(
     def starts(depth: int, records: list[DepthRecord]) -> list[Parameters]:
         return _exhaustion_starts(depth, cfg)
 
-    return _progress(g, replace(cfg, max_depth=p), label, starts, first=p)[0]
+    return _progress(g, replace(cfg, max_depth=p), "exhaustion", starts, first=p)[0]
 
 
 def run_bilinear(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:

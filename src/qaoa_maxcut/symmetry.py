@@ -38,6 +38,9 @@ __all__ = [
 # Identities are exact; 1e-9 leaves ample room for roundoff at n <= 10, p <= 4.
 DEVIATION_TOLERANCE = 1e-9
 
+# Points per axis of the depth-1 grid that starts the non-adiabatic branch.
+_GRID = 24
+
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -128,32 +131,29 @@ def _random_phi(rng: np.random.Generator, p: int) -> Parameters:
     )
 
 
-def _suite_graphs(rng: np.random.Generator, max_n: int) -> dict[str, list[Graph]]:
-    """Instance pools per graph class, n <= max_n; 3-regular sizes round down
-    to even. The 4-regular graph needs max_n >= 5."""
+def _suite_graphs(rng: np.random.Generator) -> dict[str, list[Graph]]:
+    """Instance pools per graph class, n <= 10."""
     seeds = [int(s) for s in rng.integers(0, 2**31 - 1, size=8)]
     general = [
-        gen_erdos_renyi(min(6, max_n), 0.5, seeds[0]),
-        gen_erdos_renyi(min(8, max_n), 0.7, seeds[1]),
-        gen_erdos_renyi(min(10, max_n), 0.4, seeds[2]),
-        gen_random_regular(min(10, max_n) // 2 * 2, 3, seeds[3]),
+        gen_erdos_renyi(6, 0.5, seeds[0]),
+        gen_erdos_renyi(8, 0.7, seeds[1]),
+        gen_erdos_renyi(10, 0.4, seeds[2]),
+        gen_random_regular(10, 3, seeds[3]),
     ]
     even = [
         Graph(n=3, edges=((0, 1), (1, 2), (0, 2))),  # triangle, 2-regular
-        gen_random_regular(min(9, max_n), 2, seeds[4]),
-        gen_random_regular(min(10, max_n), 4, seeds[5]),
+        gen_random_regular(9, 2, seeds[4]),
+        gen_random_regular(10, 4, seeds[5]),
     ]
     odd = [
         Graph(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),  # K4
-        gen_random_regular(min(8, max_n) // 2 * 2, 3, seeds[6]),
-        gen_random_regular(min(10, max_n) // 2 * 2, 3, seeds[7]),
+        gen_random_regular(8, 3, seeds[6]),
+        gen_random_regular(10, 3, seeds[7]),
     ]
     return {"general": general, "even_regular": even, "odd_regular": odd}
 
 
-def run_symmetry_suite(
-    samples: int = 100, seed: int = 0, max_n: int = 10, max_p: int = 3
-) -> list[SymmetryReport]:
+def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> list[SymmetryReport]:
     """Run every check over `samples` random (graph, phi, p) draws each and
     report the worst deviation per transform."""
     if samples < 1:
@@ -162,12 +162,10 @@ def run_symmetry_suite(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if max_p < 1:
         raise ValueError(f"max_p must be >= 1, got {max_p}")
-    if max_n < 5:
-        raise ValueError(f"max_n must be >= 5 for the 4-regular pool graph, got {max_n}")
     rng = np.random.default_rng(seed)
     pools = {
         name: [ExpectationEvaluator(g) for g in pool]
-        for name, pool in _suite_graphs(rng, max_n).items()
+        for name, pool in _suite_graphs(rng).items()
     }
 
     def sweep(name: str, pool: list[ExpectationEvaluator], fn) -> SymmetryReport:
@@ -204,30 +202,28 @@ def non_adiabatic_progression(
     trials: int = 20,
     seed: int = 0,
     optimizer: OptimizerConfig = OptimizerConfig(),
-    grid: int = 24,
 ) -> list[Parameters]:
     """Depth-wise optima of an odd-regular graph traced from the redundant
     half of the over-wide box (gamma in [0, pi), beta in [0, pi/2)).
 
-    The p=1 start is the best grid point with gamma_1 in [pi/2, pi), refined
-    by bounded optimization. Later depths follow the parameters-fixing
-    policy from that optimum: keep the previous branch optimum for the first
-    p-1 layers and try `trials` new-layer starts over the whole box (one at
-    (0, 0), the rest seeded uniform draws), optimizing all angles. Every
+    The p=1 start is the best point of a 24 x 24 grid with gamma_1 in
+    [pi/2, pi), refined by bounded optimization. Later depths follow the
+    parameters-fixing policy from that optimum: keep the previous branch
+    optimum for the first p-1 layers and try `trials` new-layer starts over
+    the whole box (one at (0, 0), the rest seeded uniform draws), optimizing
+    all angles. Every
     optimization runs in the full over-wide box, so staying on the
     non-adiabatic branch is the landscape's doing, not the harness's.
     Returns the per-depth optimal parameters.
     """
     if classify(g) is not GraphClass.ODD_REGULAR:
         raise ValueError("non-adiabatic branch exists for odd-regular graphs")
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
     b = GENERAL_BOUNDS
     ev = ExpectationEvaluator(g)
 
     points = itertools.product(
-        np.linspace(math.pi / 2.0, b.gamma_max, grid, endpoint=False),
-        np.linspace(b.beta_min, b.beta_max, grid, endpoint=False),
+        np.linspace(math.pi / 2.0, b.gamma_max, _GRID, endpoint=False),
+        np.linspace(b.beta_min, b.beta_max, _GRID, endpoint=False),
     )
     # max keeps the first of equal values, so ties go to the earliest point.
     best_start = max(

@@ -145,7 +145,7 @@ def test_criterion_3_depth_one_three_regular_bound():
 
 
 def test_criterion_4_symmetry_suite():
-    reports = run_symmetry_suite(samples=100, seed=7, max_n=10, max_p=3)
+    reports = run_symmetry_suite(samples=100, seed=7, max_p=3)
     assert {r.transform for r in reports} == {
         "angle_reversal",
         "periodicity_full",

@@ -67,6 +67,18 @@ class TestGen:
         assert run_cli("gen", "--config", path, "--out", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_seed_that_merges_two_instances_fails_before_writing(self, tmp_path, capsys):
+        # reg3-n6-s1 and reg3-n6-s2 both become reg3-n6-s5.
+        specs = [{"kind": "regular", "n": 6, "degree": 3, "seed": s} for s in (1, 2)]
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(dict(CONFIG, instances=specs)))
+        out = tmp_path / "instances"
+        assert run_cli("gen", "--config", path, "--out", out, "--seed", 5) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: duplicate instance ids")
+        assert not out.exists()
+
 
 class TestRunAndEmitters:
     @pytest.fixture

@@ -52,7 +52,7 @@ def plus_state(n: int) -> np.ndarray:
 def phased(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
     out = state.copy()
     cuts = cut_table(g).astype(np.intp)
-    _phase_kernel(out, cuts, _phase_table(gamma, int(cuts.max())))
+    _phase_kernel(out, cuts, _phase_table(gamma, int(cuts.max())), np.empty_like(out))
     return out
 
 
@@ -61,7 +61,7 @@ def mixed(state: np.ndarray, beta: float) -> np.ndarray:
     # half; the complement of z is 2^n - 1 - z, so the state is a palindrome.
     assert np.array_equal(state, state[::-1]), "mixer input must be flip-symmetric"
     out = state[None, : state.size // 2].copy()
-    _mixer_kernel(out, [beta], state.size.bit_length() - 1)
+    _mixer_kernel(out, [beta], state.size.bit_length() - 1, np.empty_like(out))
     return np.concatenate((out[0], out[0, ::-1]))
 
 
@@ -522,7 +522,7 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def counting(state, beta, n, scratch=None):
+        def counting(state, beta, n, scratch):
             calls.append(beta)
             kernel(state, beta, n, scratch)
 
@@ -550,7 +550,7 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def counting(state, beta, n, scratch=None):
+        def counting(state, beta, n, scratch):
             calls.append(beta)
             kernel(state, beta, n, scratch)
 
@@ -566,7 +566,7 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def failing_second(state, beta, n, scratch=None):
+        def failing_second(state, beta, n, scratch):
             calls.append(beta)
             if len(calls) == 2:
                 raise MemoryError
@@ -586,18 +586,6 @@ def probe_rows(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
     rows = []
     _fd_gradient(lambda y: rows.append(y.copy()) or 0.0, x, lower, upper, DEFAULT_GRADIENT_STEP)
     return np.array(rows)
-
-
-def one_layer_probes(x: np.ndarray, rows: np.ndarray) -> set[bytes]:
-    """The (gammas, betas) bytes of the rows without NaN that differ from x
-    in exactly one layer."""
-    p = x.size // 2
-    out = set()
-    for y in rows:
-        moved = (y.view(np.int64) != x.view(np.int64)).reshape(2, p).any(axis=0)
-        if moved.sum() == 1 and not np.isnan(y).any():
-            out.add(y.reshape(2, p).tobytes())
-    return out
 
 
 class TestAdvanceProbes:
@@ -629,7 +617,7 @@ class TestAdvanceProbes:
         rows = np.concatenate((rows, extra))
         rows = rows[data.draw(st.permutations(range(len(rows))), label="order")]
         ev = ExpectationEvaluator(g)
-        # Cached elsewhere, a probe differs in every layer, unless p = 1.
+        # Cached elsewhere, a probe shares no layer with the last call.
         elsewhere = data.draw(st.booleans(), label="cached at another point")
         cached = rng.uniform(lower, upper) if elsewhere else x
         ev.expectation(Parameters.from_array(cached))
@@ -637,7 +625,7 @@ class TestAdvanceProbes:
         lanes = data.draw(st.booleans(), label="two lanes")
         kernel, threads = simulator._mixer_kernel, set()
 
-        def recording(block, betas, n, scratch=None):
+        def recording(block, betas, n, scratch):
             threads.add(threading.current_thread())
             kernel(block, betas, n, scratch)
 
@@ -647,10 +635,9 @@ class TestAdvanceProbes:
                 patch.setattr(simulator, "_cpus", lambda: 2)
             patch.setattr(simulator, "_mixer_kernel", recording)
             advance_probes(ev, rows.reshape(len(rows), 2, p))
-        kept = one_layer_probes(cached, rows)
-        assert set(ev._kept) == kept
-        qualifying = sum(y.reshape(2, p).tobytes() in kept for y in rows)
-        assert len(threads) == (2 if lanes and qualifying >= 2 else min(qualifying, 1))
+        # Every row is kept: NaN, duplicate, two-layer and face rows too.
+        assert set(ev._kept) == {y.reshape(2, p).tobytes() for y in rows}
+        assert len(threads) == (2 if lanes else 1)
         for y in rows:
             phi = Parameters.from_array(y)
             assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
@@ -666,13 +653,13 @@ class TestAdvanceProbes:
         ev.expectation(Parameters.from_array(x))
         kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch=None):
+        def counting(block, betas, n, scratch):
             blocks.append(len(block))
             kernel(block, betas, n, scratch)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         advance_probes(ev, rows.reshape(len(rows), 2, p))
-        assert set(ev._kept) == one_layer_probes(x, rows)
+        assert set(ev._kept) == {y.reshape(2, p).tobytes() for y in rows}
         assert max(blocks) == 4
         for y in rows:
             phi = Parameters.from_array(y)
@@ -692,6 +679,76 @@ class TestAdvanceProbes:
             advance_probes(ev, rows.reshape(len(rows), 2, 1))
             assert ev._kept == {}
 
+    def test_input_that_is_not_a_stack_of_angle_arrays_is_ignored(self, monkeypatch):
+        g = gen_erdos_renyi(8, 0.6, 6)
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        stack = probe_rows(x, *GENERAL_BOUNDS.box(3)).reshape(-1, 2, 3)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        kernel, calls = simulator._mixer_kernel, []
+
+        def counting(block, betas, n, scratch):
+            calls.append(betas)
+            kernel(block, betas, n, scratch)
+
+        monkeypatch.setattr(simulator, "_mixer_kernel", counting)
+        flat = stack.reshape(len(stack), -1)
+        three = np.concatenate((stack, stack[:, :1]), axis=1)
+        for bad in (flat, three, stack[..., :0]):
+            advance_probes(ev, stack)
+            assert len(ev._kept) == len(stack)
+            calls.clear()
+            advance_probes(ev, bad)
+            assert ev._kept == {}
+            assert calls == []
+        # The stored states are still x's: a probe of the last layer computes one layer.
+        phi = Parameters(gammas=tuple(stack[0, 0]), betas=tuple(stack[0, 1]))
+        fresh = ExpectationEvaluator(g).expectation(phi)
+        calls.clear()
+        assert ev.expectation(phi).hex() == fresh.hex()
+        assert len(calls) == 1
+
+    def test_rows_of_other_depths_and_two_changed_layers_are_kept(self, monkeypatch):
+        # Each row resumes after the layers it shares with the last call, as
+        # a call of `expectation` would: at most p - 1 of its own p, and of
+        # the last call's 3, whose states after layers 1 and 2 are stored.
+        g = gen_erdos_renyi(8, 0.6, 6)
+        base = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters(tuple(base[0]), tuple(base[1])))
+        deeper = np.concatenate((base, [[0.7], [0.8]]), axis=1)
+        deepest = deeper.copy()
+        deepest[0, 3] = 0.9
+        shallower = base[:, :2].copy()
+        shallower[1, 1] = 0.9
+        one_and_three, two_and_three = base.copy(), base.copy()
+        one_and_three[0, 0] += 1e-3
+        one_and_three[1, 2] += 1e-3
+        two_and_three[0, 1:] += 1e-3
+        # Each stack with the row-layers its rows compute.
+        stacks = [
+            (np.array([deeper, deepest]), 2 + 2),
+            (np.array([base[:, :2], shallower]), 1 + 1),
+            (base[None, :, :1], 1),
+            (np.array([one_and_three, two_and_three]), 3 + 2),
+        ]
+        kernel = simulator._mixer_kernel
+        for stack, row_layers in stacks:
+            calls = []
+
+            def counting(block, betas, n, scratch):
+                calls.append(len(betas))
+                kernel(block, betas, n, scratch)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_mixer_kernel", counting)
+                advance_probes(ev, stack)
+            assert sum(calls) == row_layers
+            assert set(ev._kept) == {y.tobytes() for y in stack}
+            for y in stack:
+                phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+                assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
     @pytest.mark.parametrize("n", [16, 17])
     def test_two_lanes_keep_probes_of_one_row_blocks(self, n, monkeypatch):
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
@@ -704,13 +761,13 @@ class TestAdvanceProbes:
         ev.expectation(Parameters.from_array(x))
         kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch=None):
+        def counting(block, betas, n, scratch):
             blocks.append(len(block))
             kernel(block, betas, n, scratch)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         advance_probes(ev, rows.reshape(len(rows), 2, p))
-        assert set(ev._kept) == one_layer_probes(x, rows)
+        assert set(ev._kept) == {y.reshape(2, p).tobytes() for y in rows}
         assert set(blocks) == {1}
         monkeypatch.setattr(simulator, "_mixer_kernel", kernel)
         for y in rows:
@@ -730,7 +787,7 @@ class TestAdvanceProbes:
         objective(x)
         kernel, rows, one_row = simulator._mixer_kernel, [], []
 
-        def counting(block, betas, n, scratch=None):
+        def counting(block, betas, n, scratch):
             (rows if len(betas) > 1 else one_row).append(len(betas))
             kernel(block, betas, n, scratch)
 
@@ -763,7 +820,7 @@ class TestAdvanceProbes:
         assert len(ev._kept) == len(rows)
         kernel, calls, written, caller = simulator._mixer_kernel, [], [], threading.current_thread()
 
-        def failing_second(block, betas, n, scratch=None):
+        def failing_second(block, betas, n, scratch):
             lane = "caller lane" if threading.current_thread() is caller else "helper lane"
             if failing in ("one lane", lane):
                 calls.append(betas)
@@ -788,7 +845,7 @@ class TestAdvanceProbes:
         fresh = ExpectationEvaluator(g).expectation(phi)
         one_row = []
 
-        def counting(block, betas, n, scratch=None):
+        def counting(block, betas, n, scratch):
             one_row.append(betas)
             kernel(block, betas, n, scratch)
 
@@ -890,10 +947,10 @@ class TestSplitMixer:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_cpus", lambda: 1)
             for row, beta in zip(one, betas):
-                _mixer_kernel(row[None], [beta], n)
+                _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]))
             patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             patch.setattr(simulator, "_cpus", lambda: 2)
-            _mixer_kernel(split, betas, n)
+            _mixer_kernel(split, betas, n, np.empty_like(split))
         assert split.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("side", ["caller", "helper"])
@@ -923,14 +980,14 @@ class TestSplitMixer:
             for y in rows
         }
         state = plus_state(6)[None, :32]
-        _mixer_kernel(state, [0.3], 6)
+        _mixer_kernel(state, [0.3], 6, np.empty_like(state))
         assert simulator._helper is not None
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 advance_probes(ev, rows)
-                _mixer_kernel(state, [0.3], 6)
+                _mixer_kernel(state, [0.3], 6, np.empty_like(state))
                 code = 0 if ev._kept == expected else 2
             finally:
                 os._exit(code)
@@ -972,7 +1029,7 @@ class TestSplitMixer:
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_cpus", lambda: 1)
                 for beta in (0.4, 1.1, 2.5):
-                    _mixer_kernel(one, [beta], 9)
+                    _mixer_kernel(one, [beta], 9, np.empty_like(one))
                 ev = ExpectationEvaluator(g)
                 ev.expectation(Parameters.from_array(x))
                 advance_probes(ev, rows)
@@ -983,7 +1040,7 @@ class TestSplitMixer:
         def caller(i):
             state = starts[i].copy()
             for beta in (0.4, 1.1, 2.5):
-                _mixer_kernel(state, [beta], 9)
+                _mixer_kernel(state, [beta], 9, np.empty_like(state))
             ev = ExpectationEvaluator(g)
             ev.expectation(Parameters.from_array(points[i]))
             advance_probes(ev, probes[i])
@@ -1011,7 +1068,8 @@ class TestSplitMixer:
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             patch.setattr(simulator, "_cpus", lambda: 1)
-            _mixer_kernel(plus_state(6)[None, :32], [0.3], 6)
+            state = plus_state(6)[None, :32]
+            _mixer_kernel(state, [0.3], 6, np.empty_like(state))
         assert simulator._helper is None
         assert threading.active_count() == threads
         # Nor does advance_probes: on one CPU at n = 13, and at n = 12, where
@@ -1064,21 +1122,34 @@ class TestWorkArrays:
             tracemalloc.stop()
         assert got == expected
 
-    def test_a_warm_resumed_call_gathers_without_a_widened_index(self, path):
+    def test_a_warm_resumed_call_gathers_without_a_widened_index(self, path, monkeypatch):
         # The phase gather reads the cut index as it is held: no 2^(n-1)
-        # intp copy of it per layer.
+        # intp copy of it per layer. The peak is taken around each gather
+        # alone: a split mixer's passes on the helper thread allocate ufunc
+        # buffers of up to 128 KiB, but the helper is idle during a gather,
+        # as `_in_two` returns only once it has finished.
         g = gen_random_regular(16, 3, 1)
         x = random_phi(np.random.default_rng(59), 3)
         resumed = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
         ev = ExpectationEvaluator(g)
         ev.expectation(x)
-        tracemalloc.start()
-        try:
+        kernel, peaks = simulator._phase_kernel, []
+
+        def measured(state, cuts, table, out):
+            tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            value = ev.expectation(resumed)
-            assert tracemalloc.get_traced_memory()[1] - before < (1 << 15) * 8
-        finally:
-            tracemalloc.stop()
+            kernel(state, cuts, table, out)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_phase_kernel", measured)
+            tracemalloc.start()
+            try:
+                value = ev.expectation(resumed)
+            finally:
+                tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < (1 << 15) * 8
         assert value.hex() == ExpectationEvaluator(g).expectation(resumed).hex()
 
     def test_a_warm_probe_block_allocates_less_than_a_row(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestRunBilinear:
         cfg = small_cfg(REGULAR_BOUNDS, max_depth=2, trials=4, seed=5)
         records = run_bilinear(K3, cfg)
         expected = [
-            base_exhaustion(K3, p, cfg, label="bilinear") for p in (1, 2)
+            replace(base_exhaustion(K3, p, cfg), strategy="bilinear") for p in (1, 2)
         ]
         assert records == expected
 

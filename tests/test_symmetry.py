@@ -189,27 +189,14 @@ class TestSuite:
             assert r.samples == 25
             assert r.max_abs_deviation <= DEVIATION_TOLERANCE
 
-
-    @pytest.mark.parametrize("max_n", [5, 6, 7, 8, 9, 11])
-    def test_pools_honour_max_n(self, max_n):
-        pools = symmetry_module._suite_graphs(np.random.default_rng(0), max_n)
-        assert all(g.n <= max_n for pool in pools.values() for g in pool)
-        reports = run_symmetry_suite(samples=5, seed=1, max_n=max_n)
-        assert all(r.max_abs_deviation <= DEVIATION_TOLERANCE for r in reports)
-
     def test_default_pool_sizes(self):
-        pools = symmetry_module._suite_graphs(np.random.default_rng(0), 10)
+        pools = symmetry_module._suite_graphs(np.random.default_rng(0))
         sizes = {name: [g.n for g in pool] for name, pool in pools.items()}
         assert sizes == {
             "general": [6, 8, 10, 10],
             "even_regular": [3, 9, 10],
             "odd_regular": [4, 8, 10],
         }
-
-    @pytest.mark.parametrize("max_n", [-1, 0, 1, 4])
-    def test_rejects_max_n_below_the_pools(self, max_n):
-        with pytest.raises(ValueError, match=f"max_n must be >= 5.*got {max_n}"):
-            run_symmetry_suite(samples=1, max_n=max_n)
 
 
 class TestNonAdiabaticProgression:
@@ -234,7 +221,7 @@ class TestNonAdiabaticProgression:
         kernel = simulator._mixer_kernel
         row_layers, one_row = [], []
 
-        def counting(block, betas, n, scratch=None):
+        def counting(block, betas, n, scratch):
             if len(betas) > 1:
                 row_layers.append(len(betas))
             else:
@@ -250,9 +237,3 @@ class TestNonAdiabaticProgression:
     def test_rejects_non_odd_regular(self):
         with pytest.raises(ValueError, match="odd-regular"):
             non_adiabatic_progression(K3, max_depth=2)
-
-    @pytest.mark.parametrize("grid", [0, -3])
-    def test_rejects_empty_grid(self, grid):
-        g = gen_random_regular(6, 3, 0)
-        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
-            non_adiabatic_progression(g, max_depth=2, grid=grid)
