@@ -50,10 +50,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.seed is not None:
         # Through the config, whose check rejects instances that now share an id.
         cfg = replace(cfg, instances=tuple(replace(s, seed=args.seed) for s in cfg.instances))
+    # Every graph first, as `run_experiment` does: a failure writes no file.
+    graphs = [(spec, spec.build()) for spec in cfg.instances]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in cfg.instances:
-        g = spec.build()
+    for spec, g in graphs:
         path = out_dir / f"{spec.instance_id}.edges"
         write_edge_list(g, path)
         print(f"wrote {path} (n={g.n}, m={g.m})")

@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graphs import Graph, classify, gen_erdos_renyi, gen_random_regular
+from .graphs import Graph, _check_regular, classify, gen_erdos_renyi, gen_random_regular
 from .optimize import Bounds, OptimizerConfig, bounds_for_graph
 from .simulator import MAX_QUBITS, ExpectationEvaluator, Parameters
 from .strategies import STRATEGIES, DepthRecord, StrategyConfig
@@ -113,6 +113,12 @@ class InstanceSpec:
                 raise ConfigError(f"{self}: regular instance needs a degree")
             if self.prob is not None:
                 raise ConfigError(f"{self}: regular instance takes no 'prob'")
+            # Only a graph that exists can be built; `build` still fails when
+            # the pairing model finds none in its tries.
+            try:
+                _check_regular(self.n, self.degree)
+            except ValueError as exc:
+                raise ConfigError(f"instance {self.instance_id} is unsatisfiable: {exc}") from None
         elif self.kind == "erdos_renyi":
             if self.prob is None:
                 raise ConfigError(f"{self}: erdos_renyi instance needs an edge probability")

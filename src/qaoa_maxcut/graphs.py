@@ -76,12 +76,9 @@ class Graph:
         return deg
 
 
-def gen_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Sample a simple d-regular graph on n vertices (pairing model with restarts).
-
-    Deterministic for a fixed seed. Raises ValueError when no d-regular graph
-    exists (n*d odd, or d >= n).
-    """
+def _check_regular(n: int, d: int) -> None:
+    """Raise ValueError when no simple d-regular graph on n vertices exists
+    (d < 0, d >= n, or n*d odd)."""
     if d >= n:
         raise ValueError(f"degree d={d} must be smaller than n={n}")
     if d < 0:
@@ -89,6 +86,15 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even for a d-regular graph, got n={n}, d={d}")
 
+
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
+    """Sample a simple d-regular graph on n vertices (pairing model with restarts).
+
+    Deterministic for a fixed seed. Raises ValueError when no d-regular graph
+    exists (see `_check_regular`), and RuntimeError when the pairing model
+    finds none in its tries.
+    """
+    _check_regular(n, d)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_REGULAR_MAX_TRIES):

@@ -28,13 +28,17 @@ the first `advance_probes` block grows it, so a warm evaluation allocates
 no state, apart from a prefix state stored for the first time.
 
 One helper thread serves two jobs, when the process may run on at least 2
-CPUs. A one-row block of 2 MiB or more (n >= 18) has each mixer pass split
-into two disjoint halves, one of them run by the helper. At 13 <= n <= 17,
+CPUs. A one-row block of 2 MiB or more (n >= 18) is split into a low and a
+high half through the whole layer: the phase gather and multiply, each
+mixer pass and the probability squares with their mirror image each run on
+both halves at once, the high half on the helper, so each thread works on
+the half it last wrote. The dot product of the probabilities with the cut
+table stays one call on the calling thread. At 13 <= n <= 17,
 `advance_probes` deals the probe rows to two lanes, each with its own
-working arrays, and the helper runs lane 1; a lane's rows are too small for
-the mixer to split. Every amplitude gets the same operations either way, so
-results are bit-identical. The helper thread is started on first use and
-serves the whole process; a forked child starts its own.
+working arrays, and the helper runs lane 1; a lane's rows are too small to
+split. Every amplitude gets the same operations either way, so results are
+bit-identical. The helper thread is started on first use and serves the
+whole process; a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -65,10 +69,11 @@ MAX_QUBITS = 20
 DENSE_ORACLE_MAX_QUBITS = 8
 
 # Half states of at least this many amplitudes (2 MiB, n >= 18) split each
-# mixer pass over two threads. One whole mixer on a shared 2-CPU host, split
-# time over unsplit time (medians of three runs): 0.54-0.67 at n = 20,
-# 0.53-0.66 at n = 18, 0.64-0.92 at n = 17, 0.87-1.2 at n = 16 and 2.3-3.0
-# at n = 14, where handing work to the helper costs more than it saves.
+# layer over two threads (see `_split`). One whole mixer on a shared 2-CPU
+# host, split time over unsplit time (medians of three runs): 0.54-0.67 at
+# n = 20, 0.53-0.66 at n = 18, 0.64-0.92 at n = 17, 0.87-1.2 at n = 16 and
+# 2.3-3.0 at n = 14, where handing work to the helper costs more than it
+# saves.
 _SPLIT_MIN_AMPLITUDES = 1 << 17
 
 # The executor of the one helper thread, made on the first split or two-lane
@@ -95,6 +100,16 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         return os.cpu_count() or 1
+
+
+def _split(block: np.ndarray) -> bool:
+    """Whether a kernel runs on `block`, a (rows, size) block or one 1-D row,
+    in a low and a high half at once, the high half on the helper thread:
+    one row of at least _SPLIT_MIN_AMPLITUDES amplitudes, on a process that
+    may run on 2 CPUs. Only the calling thread may reach a split: lane 1's
+    rows are smaller, so the helper never submits to itself."""
+    # The size tests come first, so smaller states make no syscall.
+    return block.size == block.shape[-1] >= _SPLIT_MIN_AMPLITUDES and _cpus() >= 2
 
 
 def _in_two(task, low: tuple, high: tuple) -> None:
@@ -158,14 +173,30 @@ def _phase_table(gamma, c_max: int) -> np.ndarray:
     return np.exp(np.multiply.outer(-1j * gamma, np.arange(c_max + 1.0)))
 
 
-def _phase_kernel(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
-    """In place: multiply the amplitude of each basis state z by its phase
-    table[..., cut(z)] from `_phase_table`, gathered by the intp indices
-    `cuts` into `out`, an array of the state's shape. A 2-D state holds one
-    state per row, and `table` one row each."""
+def _phase(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out) -> None:
     # "wrap", not the default "raise", which gathers into a copy of `out`;
     # every index is in range, so it changes no value.
-    state *= np.take(table, cuts, axis=-1, out=out, mode="wrap")
+    if out is None:
+        np.take(table, cuts, axis=-1, out=state, mode="wrap")
+    else:
+        state *= np.take(table, cuts, axis=-1, out=out, mode="wrap")
+
+
+def _phase_kernel(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out) -> None:
+    """In place: multiply the amplitude of each basis state z by its phase
+    table[..., cut(z)] from `_phase_table`, gathered by the intp indices
+    `cuts` into `out`, an array of the state's shape; with `out` None, the
+    state is overwritten by the gathered phases. A 2-D state holds one state
+    per row, and `table` one row each."""
+    if not _split(state):
+        _phase(state, cuts, table, out)
+        return
+    m = cuts.size // 2
+    low, high = (
+        (state[..., part], cuts[part], table, None if out is None else out[..., part])
+        for part in (np.s_[:m], np.s_[m:])
+    )
+    _in_two(_phase, low, high)
 
 
 def _pass(view: np.ndarray, swapped: np.ndarray, c, s) -> None:
@@ -211,14 +242,15 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None
     # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
     # complement 2^(n-1) - 1 - z: the row reversed.
     reverse = block[:, ::-1]
-    if len(block) > 1 or block.size < _SPLIT_MIN_AMPLITUDES or _cpus() < 2:
+    if not _split(block):
         _passes(block, scratch, c_pass, s_pass, n - 1)
         np.multiply(reverse, s, out=scratch)
         _combine(block, scratch, c)
         return
     # The same operations on two disjoint halves of every pass of the one
     # row, one half on the helper thread, so each amplitude gets the same
-    # bits as above.
+    # bits as above. The last pass leaves each half with the thread that
+    # gathers its next phases and squares its probabilities.
     m = block.size // 2
     lo, hi = np.s_[:, :m], np.s_[:, m:]
     # Qubits 0..n-3 pair amplitudes within each half of the row.
@@ -232,6 +264,14 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None
     # partner is read before any amplitude changes.
     _in_two(np.multiply, (reverse[lo], s, scratch[lo]), (reverse[hi], s, scratch[hi]))
     _in_two(_combine, (block[lo], scratch[lo], c), (block[hi], scratch[hi], c))
+
+
+def _probabilities(half: np.ndarray, low: np.ndarray, mirror: np.ndarray) -> None:
+    """|amplitude|^2 of each element of `half` into `low`, and the same
+    reversed into `mirror`, of the same size."""
+    np.square(half.real, out=low)
+    low += np.square(half.imag, out=mirror)
+    np.copyto(mirror, low[::-1])
 
 
 # The states of one block of rows of one lane of `advance_probes`, with the
@@ -347,15 +387,20 @@ class ExpectationEvaluator:
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
         tables = _phase_table(gammas[first:], self.c_max)
+        if first == 0:
+            # |+>^n's amplitude times each phase: the products of a fill and
+            # a phase kernel, bit for bit, from one gather of the scaled table.
+            tables[0] *= 2.0 ** (-n / 2)
         started = 0
         for j in range(first, p):
             if started < rows:
                 # The rows that share j layers start here, from the stored state.
                 stop = bisect.bisect_right(starts, j, started)
-                states[started:stop] = self._after[j - 1] if j else 2.0 ** (-n / 2)
+                if j:
+                    states[started:stop] = self._after[j - 1]
                 started = stop
                 block, work = states[:started], scratch[:started]
-            _phase_kernel(block, self._cut_index, tables[j - first, :started], work)
+            _phase_kernel(block, self._cut_index, tables[j - first, :started], work if j else None)
             _mixer_kernel(block, betas[j, :started], n, work)
             if store and j < p - 1:
                 if j == len(self._after):
@@ -404,9 +449,15 @@ class ExpectationEvaluator:
         # cuts) would round differently and move the optimizer's path.
         probs = self._scratch[lane][0].view(np.float64)
         low, high = probs[: half.size], probs[half.size :]
-        np.square(half.real, out=low)
-        low += np.square(half.imag, out=high)
-        np.copyto(high, low[::-1])
+        if _split(half):
+            # Each thread squares its half of the low half, and mirrors it
+            # into the high half's other end; the dot product stays whole,
+            # as a split one would sum in another order.
+            m = half.size // 2
+            k = half.size - m
+            _in_two(_probabilities, (half[:m], low[:m], high[k:]), (half[m:], low[m:], high[:k]))
+        else:
+            _probabilities(half, low, high)
         return float(probs @ self._cuts)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qaoa_maxcut import cli
 from qaoa_maxcut.cli import main
-from qaoa_maxcut.experiment import ResultSet
+from qaoa_maxcut.experiment import InstanceSpec, ResultSet
 from qaoa_maxcut.graphs import read_edge_list
 
 CONFIG = {
@@ -66,6 +66,34 @@ class TestGen:
         path.write_text(json.dumps(bad))
         assert run_cli("gen", "--config", path, "--out", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("load", [True, False], ids=["rejected-at-load", "failed-build"])
+    def test_a_failing_instance_writes_no_file(self, load, tmp_path, capsys, monkeypatch):
+        # reg3-n5-s0 has no graph, so the config is rejected as it loads; a
+        # build that fails, as when the pairing model exhausts its tries,
+        # must also leave the instance built before it unwritten.
+        specs = [{"kind": "regular", "n": 6, "degree": 3, "seed": 1}]
+        if load:
+            specs.append({"kind": "regular", "n": 5, "degree": 3, "seed": 0})
+        else:
+            specs.append({"kind": "regular", "n": 8, "degree": 3, "seed": 0})
+            build = InstanceSpec.build
+
+            def failing(spec):
+                if spec.n == 8:
+                    raise RuntimeError("failed to sample a simple 3-regular graph on 8 vertices")
+                return build(spec)
+
+            monkeypatch.setattr(InstanceSpec, "build", failing)
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(dict(CONFIG, instances=specs)))
+        out = tmp_path / "instances"
+        assert run_cli("gen", "--config", path, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert not out.exists() or not list(out.glob("*.edges"))
 
     def test_seed_that_merges_two_instances_fails_before_writing(self, tmp_path, capsys):
         # reg3-n6-s1 and reg3-n6-s2 both become reg3-n6-s5.
@@ -160,6 +188,10 @@ class TestLandscape:
         assert run_cli("landscape", "--kind", kind, "--n", 4, *given, *stray) == 1
         assert_one_error_line(capsys, f"takes no '{stray[0][2:]}'")
 
+    def test_impossible_regular_instance_fails(self, capsys):
+        assert run_cli("landscape", "--kind", "regular", "--n", 5, "--degree", 3) == 1
+        assert_one_error_line(capsys, "instance reg3-n5-s0 is unsatisfiable")
+
 
 class TestVerify:
     def test_passes_and_writes_report(self, tmp_path, capsys):
@@ -247,6 +279,14 @@ class TestBadInputs:
                 {"instances": [{"kind": "regular", "n": 10, "degree": 3, "seed": 1, "prob": 0.5}]},
                 "regular instance takes no 'prob'",
             ),
+            (
+                {"instances": [{"kind": "regular", "n": 5, "degree": 3, "seed": 0}]},
+                "instance reg3-n5-s0 is unsatisfiable: n*d must be even",
+            ),
+            (
+                {"instances": [{"kind": "regular", "n": 4, "degree": 4, "seed": 0}]},
+                "instance reg4-n4-s0 is unsatisfiable: degree d=4 must be smaller than n=4",
+            ),
         ],
         ids=[
             "unknown-key",
@@ -266,6 +306,8 @@ class TestBadInputs:
             "nan-convergence-tolerance",
             "infinite-gradient-step",
             "regular-with-prob",
+            "odd-n-times-degree",
+            "degree-not-below-n",
         ],
     )
     def test_malformed_config_fails_cleanly(self, change, fragment, tmp_path, capsys):

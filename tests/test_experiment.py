@@ -45,13 +45,15 @@ def _box(lo_hi):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-12, max_value=1.0)
+# (n, degree) pairs that some regular graph has; others are rejected at construction.
+_regular_sizes = st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1).filter(lambda d: n * d % 2 == 0))
+)
 _specs = st.one_of(
     st.builds(
-        InstanceSpec,
-        kind=st.just("regular"),
-        n=st.integers(1, 20),
-        seed=st.integers(0, 2**32),
-        degree=st.integers(0, 19),
+        lambda size, seed: InstanceSpec(kind="regular", n=size[0], seed=seed, degree=size[1]),
+        _regular_sizes,
+        st.integers(0, 2**32),
     ),
     st.builds(
         InstanceSpec,
@@ -131,9 +133,31 @@ class TestInstanceSpec:
             InstanceSpec(kind="torus", n=4, seed=0)
 
     def test_unsatisfiable_spec_names_instance(self):
-        spec = InstanceSpec(kind="regular", n=5, degree=3, seed=0)
         with pytest.raises(ConfigError, match="reg3-n5-s0"):
-            spec.build()
+            InstanceSpec(kind="regular", n=5, degree=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, degree, reason",
+        [
+            (5, 3, "n\\*d must be even"),
+            (7, 1, "n\\*d must be even"),
+            (4, 4, "must be smaller than n"),
+            (3, 5, "must be smaller than n"),
+            (1, 1, "must be smaller than n"),
+            (6, -1, "must be >= 0"),
+        ],
+        ids=["odd-15", "odd-7", "degree-n", "degree-above-n", "one-vertex", "negative-degree"],
+    )
+    def test_impossible_regular_spec_rejected_at_load(self, n, degree, reason):
+        # The checks `gen_random_regular` makes, at config load, before any work.
+        spec = {"kind": "regular", "n": n, "degree": degree, "seed": 0}
+        with pytest.raises(ConfigError, match=f"reg{degree}-n{n}-s0 is unsatisfiable: .*{reason}"):
+            ExperimentConfig.from_dict({"instances": [spec], "strategies": ["bilinear"]})
+
+    @pytest.mark.parametrize("n, degree", [(1, 0), (2, 1), (5, 4), (6, 3), (20, 3)])
+    def test_possible_regular_spec_loads(self, n, degree):
+        spec = InstanceSpec(kind="regular", n=n, degree=degree, seed=0)
+        assert spec.build().degrees() == [degree] * n
 
     def test_ids(self):
         assert K2_SPEC.instance_id == "reg1-n2-s0"

@@ -928,8 +928,9 @@ for cpus in (2, 1):
 
 
 class TestSplitMixer:
-    """Large states split each mixer pass over two threads; every amplitude
-    must get the same bits as on one thread."""
+    """Large states split each layer's phase, mixer passes and probability
+    squares over two threads; every amplitude must get the same bits as on
+    one thread."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -953,6 +954,40 @@ class TestSplitMixer:
             _mixer_kernel(split, betas, n, np.empty_like(split))
         assert split.tobytes() == one.tobytes()
 
+    # Not n = 2: its halves are single amplitudes, and numpy multiplies one
+    # complex element in place in its reduction loop, without the fused
+    # multiply-add of its vector loop, so the last bit can differ from that
+    # element's in the whole row. A split half holds 2^16 or more.
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_split_layers_match_one_thread_bit_for_bit(self, n, p, monkeypatch):
+        # Every one-row block splits its phase gather, mixer and probability
+        # squares; zero gammas, of either sign, give signed zeros.
+        g = gen_erdos_renyi(n, 0.6, n) if n > 1 else Graph(n=1, edges=())
+        x = random_phi(np.random.default_rng(10 * n + p), p)
+        resumed = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
+        zero = Parameters(gammas=(0.0,) + x.gammas[1:], betas=x.betas)
+        negative_zero = Parameters(gammas=(-0.0,) * p, betas=x.betas)
+        calls = [x, x, resumed, zero, negative_zero, zero, x]
+        in_two, tasks = simulator._in_two, []
+
+        def recorded(task, low, high):
+            tasks.append(task)
+            in_two(task, low, high)
+
+        def run(cpus):
+            monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+            ev = ExpectationEvaluator(g)
+            return [(ev.expectation(phi).hex(), ev.prepare(phi).tobytes()) for phi in calls]
+
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_in_two", recorded)
+        one = run(1)
+        assert tasks == []
+        split = run(2)
+        assert {simulator._phase, simulator._passes, simulator._probabilities} <= set(tasks)
+        assert split == one
+
     @pytest.mark.parametrize("side", ["caller", "helper"])
     def test_an_error_in_either_half_reaches_the_caller(self, side):
         def task(which):
@@ -962,11 +997,35 @@ class TestSplitMixer:
         with pytest.raises(ArithmeticError, match=side):
             simulator._in_two(task, ("caller",), ("helper",))
 
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_an_error_in_either_half_of_a_split_value_reaches_the_caller(self, side, monkeypatch):
+        monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
+        monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_erdos_renyi(6, 0.5, 3)
+        phi = Parameters(gammas=(0.3, 0.8), betas=(0.5, 0.1))
+        expected = ExpectationEvaluator(g).expectation(phi)
+        caller, probabilities = threading.current_thread(), simulator._probabilities
+
+        def failing(half, low, mirror):
+            if (threading.current_thread() is caller) == (side == "caller"):
+                raise ArithmeticError(side)
+            probabilities(half, low, mirror)
+
+        ev = ExpectationEvaluator(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_probabilities", failing)
+            with pytest.raises(ArithmeticError, match=side):
+                ev.expectation(phi)
+        # The other half finished before the error was raised; the next call
+        # recomputes the last layer and the value.
+        assert ev.expectation(phi).hex() == expected.hex()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
     def test_forked_child_completes_a_split_mixer(self, monkeypatch):
-        # The mixer splits a one-row block of 32 amplitudes (n = 6); at n = 5
-        # rows of 16 run on two lanes.
+        # A one-row block of 32 amplitudes (n = 6) splits its mixer, and an
+        # evaluation at n = 6 its whole layer and value; at n = 5 rows of 16
+        # run on two lanes.
         monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 32)
         monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
@@ -981,6 +1040,8 @@ class TestSplitMixer:
         }
         state = plus_state(6)[None, :32]
         _mixer_kernel(state, [0.3], 6, np.empty_like(state))
+        six, phi = gen_erdos_renyi(6, 0.5, 2), Parameters(gammas=(0.7, 0.1), betas=(0.2, 0.9))
+        value = ExpectationEvaluator(six).expectation(phi)
         assert simulator._helper is not None
         pid = os.fork()
         if pid == 0:
@@ -988,7 +1049,8 @@ class TestSplitMixer:
             try:
                 advance_probes(ev, rows)
                 _mixer_kernel(state, [0.3], 6, np.empty_like(state))
-                code = 0 if ev._kept == expected else 2
+                same = ExpectationEvaluator(six).expectation(phi) == value
+                code = 0 if ev._kept == expected and same else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 20.0
@@ -1000,7 +1062,7 @@ class TestSplitMixer:
         else:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in a split mixer or on two lanes")
+            pytest.fail("the forked child hung in a split layer or on two lanes")
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_concurrent_callers_share_one_helper(self, monkeypatch):
@@ -1098,6 +1160,7 @@ class TestWorkArrays:
         if request.param == "split":
             monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        return request.param
 
     def test_a_warm_call_allocates_less_than_half_a_state(self, path):
         g = gen_random_regular(16, 3, 1)
@@ -1125,15 +1188,17 @@ class TestWorkArrays:
     def test_a_warm_resumed_call_gathers_without_a_widened_index(self, path, monkeypatch):
         # The phase gather reads the cut index as it is held: no 2^(n-1)
         # intp copy of it per layer. The peak is taken around each gather
-        # alone: a split mixer's passes on the helper thread allocate ufunc
-        # buffers of up to 128 KiB, but the helper is idle during a gather,
-        # as `_in_two` returns only once it has finished.
+        # alone, both halves of a split one included: a split mixer's passes
+        # on the helper thread allocate ufunc buffers of up to 128 KiB, but
+        # the helper is idle between kernels, as `_in_two` returns only once
+        # it has finished.
         g = gen_random_regular(16, 3, 1)
         x = random_phi(np.random.default_rng(59), 3)
         resumed = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
         ev = ExpectationEvaluator(g)
         ev.expectation(x)
         kernel, peaks = simulator._phase_kernel, []
+        phase, threads = simulator._phase, []
 
         def measured(state, cuts, table, out):
             tracemalloc.reset_peak()
@@ -1141,8 +1206,13 @@ class TestWorkArrays:
             kernel(state, cuts, table, out)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
+        def gathering(state, cuts, table, out):
+            threads.append(threading.current_thread())
+            phase(state, cuts, table, out)
+
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_phase_kernel", measured)
+            patch.setattr(simulator, "_phase", gathering)
             tracemalloc.start()
             try:
                 value = ev.expectation(resumed)
@@ -1150,6 +1220,8 @@ class TestWorkArrays:
                 tracemalloc.stop()
         assert len(peaks) == 1
         assert peaks[0] < (1 << 15) * 8
+        # Each gather ran inside the measured kernel, on both threads when split.
+        assert len(set(threads)) == len(threads) == (2 if path == "split" else 1)
         assert value.hex() == ExpectationEvaluator(g).expectation(resumed).hex()
 
     def test_a_warm_probe_block_allocates_less_than_a_row(self):
