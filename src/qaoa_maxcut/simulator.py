@@ -15,11 +15,12 @@ Every evaluation runs through the evaluator's one layer loop on a block of
 half states, one per row, with per-row angles. Each row resumes after the
 leading layers it shares bit for bit with the last call of `expectation` or
 `prepare`. Such a call is a block of one row, and stores its own prefix
-states. `advance_probes` computes a stack of points ahead, such as a
-point's finite-difference gradient probes, in blocks of many rows (at most
-about 1 MiB each); the evaluator keeps their values and `expectation`
-returns them. A row gets the same operations on the same bits whatever the
-block's size, so every value is bit-identical to a one-row call's.
+states. `advance_probes` computes every row of a stack of points ahead,
+such as a point's finite-difference gradient probes, in blocks of at most
+about 1 MiB of states and scratch each: up to 64 rows at n = 10, one from
+n = 16. The evaluator keeps their values and `expectation` returns them.
+A row gets the same operations on the same bits whatever the block's size,
+so every value is bit-identical to a one-row call's.
 
 The loop computes in a lane's working states and one scratch, which serves
 in turn as the phase gather buffer, the mixer's scratch and the full
@@ -36,7 +37,9 @@ the half it last wrote. The dot product of the probabilities with the cut
 table stays one call on the calling thread. At 13 <= n <= 17,
 `advance_probes` deals the probe rows to two lanes, each with its own
 working arrays, and the helper runs lane 1; a lane's rows are too small to
-split. Every amplitude gets the same operations either way, so results are
+split, so the helper never submits to itself. From n = 18 the probes run
+on one lane, one row at a time, each split like a one-row call. Every
+amplitude gets the same operations either way, so results are
 bit-identical. The helper thread is started on first use and serves the
 whole process; a forked child starts its own.
 """
@@ -255,11 +258,10 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None
     lo, hi = np.s_[:, :m], np.s_[:, m:]
     # Qubits 0..n-3 pair amplitudes within each half of the row.
     _in_two(_passes, (block[lo], scratch[lo], c, s, n - 2), (block[hi], scratch[hi], c, s, n - 2))
-    if n >= 2:
-        # Qubit n-2 pairs z in one half with z + m in the other: split the pairs.
-        k = m // 2
-        view, swapped = block.reshape(2, m), scratch.reshape(2, m)
-        _in_two(_pass, (view[:, :k], swapped[:, :k], c, s), (view[:, k:], swapped[:, k:], c, s))
+    # Qubit n-2 pairs z in one half with z + m in the other: split the pairs.
+    k = m // 2
+    view, swapped = block.reshape(2, m), scratch.reshape(2, m)
+    _in_two(_pass, (view[:, :k], swapped[:, :k], c, s), (view[:, k:], swapped[:, k:], c, s))
     # Qubit n-1 reads each half's partner from the other half, so every
     # partner is read before any amplitude changes.
     _in_two(np.multiply, (reverse[lo], s, scratch[lo]), (reverse[hi], s, scratch[hi]))
@@ -276,7 +278,7 @@ def _probabilities(half: np.ndarray, low: np.ndarray, mirror: np.ndarray) -> Non
 
 # The states of one block of rows of one lane of `advance_probes`, with the
 # mixer's scratch: rows * 2^(n-1) * 32 bytes, at most 64 rows at n = 10, 4 at
-# n = 14, 2 at n = 15 and 1 from n = 16, where only two lanes compute ahead.
+# n = 14, 2 at n = 15 and 1 from n = 16.
 # On a shared 2-CPU host (medians of nine, G(n, 1/2)), one gradient's probes
 # on one lane took 0.44 of the one-row time at n = 10, p = 8, 0.98 at n = 12,
 # p = 8, 0.85-0.97 at n = 14, p = 6 and 0.83-0.91 at n = 15, p = 6. Per-call
@@ -315,16 +317,11 @@ class ExpectationEvaluator:
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
     the deepest p seen, 56 MiB at n = 20, p = 8.
 
-    Every evaluation runs through one layer loop, `_layers`, in the working
-    arrays of one lane: states that grow from one row to a probe block, and
-    one scratch (see the module docstring). `advance_probes` may run two
-    lanes at once, one per thread, each in its own set of arrays; lane 1's
-    are made on its first block. Because calls read and write all of these,
-    an evaluator must not be shared between threads.
-
     It also keeps the values that `advance_probes` last computed ahead,
     keyed by the exact bits of their angles, and `expectation` returns one
-    of them when called at those angles.
+    of them when called at those angles. Calls read and write these and the
+    evaluator's working arrays (see the module docstring), so an evaluator
+    must not be shared between threads.
     """
 
     def __init__(self, g: Graph):
@@ -454,8 +451,7 @@ class ExpectationEvaluator:
             # into the high half's other end; the dot product stays whole,
             # as a split one would sum in another order.
             m = half.size // 2
-            k = half.size - m
-            _in_two(_probabilities, (half[:m], low[:m], high[k:]), (half[m:], low[m:], high[:k]))
+            _in_two(_probabilities, (half[:m], low[:m], high[m:]), (half[m:], low[m:], high[:m]))
         else:
             _probabilities(half, low, high)
         return float(probs @ self._cuts)
@@ -464,24 +460,21 @@ class ExpectationEvaluator:
 def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     """Compute ahead, together, the expectations at the rows of `angles`.
 
-    `angles` has shape (k, 2, p): row r is the (gammas, betas) array of one
-    point, such as a finite-difference gradient probe. Each row resumes
-    after the leading layers it shares with the evaluator's last call, as a
-    call of `expectation` would; the rows are sorted by that count and run
-    as blocks of the evaluator's layer loop, storing nothing. Each element
-    gets the same operations as in a one-row call, so every value is
-    bit-identical to `expectation`'s. The values replace the evaluator's
+    `angles` has shape (k, 2, p) with p >= 1: row r is the (gammas, betas)
+    array of one point, such as a finite-difference gradient probe. Each
+    row resumes after the leading layers it shares with the evaluator's
+    last call, as a call of `expectation` would; the rows are sorted by that
+    count and run as blocks of the evaluator's layer loop, storing nothing,
+    on one lane or two (see the module docstring). Each element gets the
+    same operations as in a one-row call, so every value is bit-identical
+    to `expectation`'s. The values of all k rows replace the evaluator's
     kept ones, and `expectation` returns one when called with bit-equal
     angles; nothing else of the evaluator changes, apart from its working
-    states. Input of any other shape, or with p = 0, is ignored.
-
-    Rows run in blocks of at most 1 MiB of states and scratch. From n = 13
-    to n = 17, on a process that may run on 2 CPUs, the rows are dealt
-    alternately to two lanes, and the helper thread runs lane 1, each lane
-    in its own blocks and working arrays; there a block may hold one row.
-    On one lane, from n = 16 a block has room for one row only and nothing
-    is computed ahead.
+    states. Input of any other shape raises ValueError and changes nothing.
     """
+    angles = np.ascontiguousarray(angles, dtype=float)
+    if angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
+        raise ValueError(f"probe angles must have shape (k, 2, p >= 1), got {angles.shape}")
     evaluator._kept = {}
     row = evaluator._cut_index.size
     # Two lanes where a row pays for the hand-off, and is too small for the
@@ -489,10 +482,6 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     # size test comes first, so smaller states make no syscall.
     lanes = 2 if _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and _cpus() >= 2 else 1
     rows_max = max(1, _PROBE_BLOCK_BYTES // (32 * row))
-    angles = np.ascontiguousarray(angles, dtype=float)
-    # One lane gains only with room for two rows in a block.
-    if lanes * rows_max < 2 or angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
-        return
     shared = evaluator._shared_layers(angles)
     order = np.argsort(shared, kind="stable")
     kept = [{}, {}]

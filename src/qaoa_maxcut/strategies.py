@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Graph
-from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
+from .optimize import Bounds, OptResult, OptimizerConfig, _require_integer, clamp, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters, advance_probes
 
 __all__ = [
@@ -65,10 +65,11 @@ class StrategyConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name, least in (("max_depth", 1), ("trials", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            _require_integer(name, value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def bilinear_predict(

@@ -192,6 +192,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=-1)
 
+    @pytest.mark.parametrize("value", [2.5, 500.0, True, "500", None])
+    def test_rejects_a_max_iterations_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            OptimizerConfig(max_iterations=value)
+
+    def test_accepts_a_numpy_integer(self):
+        assert OptimizerConfig(max_iterations=np.int64(7)).max_iterations == 7
+
 
 class TestPrefetch:
     """An objective's `prefetch` hook gets each gradient's probes first; the

@@ -665,21 +665,37 @@ class TestAdvanceProbes:
             phi = Parameters.from_array(y)
             assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
 
-    def test_no_room_for_two_rows_keeps_nothing(self, monkeypatch):
-        # From n = 16 a 1 MiB block holds one row: on one lane every probe is
-        # computed alone. From n = 18 the one-row mixer splits instead, so
-        # two CPUs run one lane too.
+    def test_one_row_blocks_keep_every_row(self, monkeypatch):
+        # From n = 16 a 1 MiB block holds one row: on one lane the probes run
+        # one row at a time. From n = 18 each row splits its layers on the
+        # calling thread instead, so two CPUs run one lane too.
         lower, upper = GENERAL_BOUNDS.box(1)
         x = np.array([0.4, 0.3])
-        rows = probe_rows(x, lower, upper)
+        rows = probe_rows(x, lower, upper).reshape(-1, 2, 1)
+        kernel, blocks = simulator._mixer_kernel, []
+
+        def counting(block, betas, n, scratch):
+            blocks.append(len(block))
+            kernel(block, betas, n, scratch)
+
         for n, cpus in [(16, 1), (18, 2)]:
             monkeypatch.setattr(simulator, "_cpus", lambda cpus=cpus: cpus)
-            ev = ExpectationEvaluator(gen_random_regular(n, 3, 1))
+            g = gen_random_regular(n, 3, 1)
+            ev = ExpectationEvaluator(g)
             ev.expectation(Parameters.from_array(x))
-            advance_probes(ev, rows.reshape(len(rows), 2, 1))
-            assert ev._kept == {}
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_mixer_kernel", counting)
+                advance_probes(ev, rows)
+            assert blocks == [1] * len(rows)
+            blocks.clear()
+            assert set(ev._kept) == {y.tobytes() for y in rows}
+            # The rows stored nothing: the last call is still x.
+            assert ev._angles.tobytes() == x.reshape(2, 1).tobytes()
+            for y in rows:
+                phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+                assert ev._kept[y.tobytes()].hex() == ExpectationEvaluator(g).expectation(phi).hex()
 
-    def test_input_that_is_not_a_stack_of_angle_arrays_is_ignored(self, monkeypatch):
+    def test_input_that_is_not_a_stack_of_angle_arrays_raises(self, monkeypatch):
         g = gen_erdos_renyi(8, 0.6, 6)
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         stack = probe_rows(x, *GENERAL_BOUNDS.box(3)).reshape(-1, 2, 3)
@@ -694,11 +710,9 @@ class TestAdvanceProbes:
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         flat = stack.reshape(len(stack), -1)
         three = np.concatenate((stack, stack[:, :1]), axis=1)
-        for bad in (flat, three, stack[..., :0]):
-            advance_probes(ev, stack)
-            assert len(ev._kept) == len(stack)
-            calls.clear()
-            advance_probes(ev, bad)
+        for bad in (flat, three, stack[..., :0], stack[0], stack[None]):
+            with pytest.raises(ValueError, match="shape"):
+                advance_probes(ev, bad)
             assert ev._kept == {}
             assert calls == []
         # The stored states are still x's: a probe of the last layer computes one layer.
@@ -707,6 +721,12 @@ class TestAdvanceProbes:
         calls.clear()
         assert ev.expectation(phi).hex() == fresh.hex()
         assert len(calls) == 1
+        # Nor do the values kept ahead change.
+        advance_probes(ev, stack)
+        kept = dict(ev._kept)
+        with pytest.raises(ValueError, match="shape"):
+            advance_probes(ev, flat)
+        assert ev._kept == kept
 
     def test_rows_of_other_depths_and_two_changed_layers_are_kept(self, monkeypatch):
         # Each row resumes after the layers it shares with the last call, as
@@ -855,8 +875,9 @@ class TestAdvanceProbes:
 
     def test_a_lane_never_submits_to_the_helper(self, monkeypatch):
         # With both thresholds at 1 every row is big enough for a lane, and
-        # every lane's one-row block (n = 16) for a split: a split on the
-        # helper lane would submit to the one helper and wait on itself.
+        # every one-row block (n = 16) for a split: a split on a helper lane
+        # would submit to the one helper and wait on itself. So the rows run
+        # on one lane, each split on the calling thread.
         monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
         monkeypatch.setattr(simulator, "_cpus", lambda: 2)
@@ -864,6 +885,11 @@ class TestAdvanceProbes:
         lower, upper = GENERAL_BOUNDS.box(2)
         x = np.array([0.4, 0.7, 0.3, 0.2])
         rows = probe_rows(x, lower, upper).reshape(-1, 2, 2)
+        # Before the guard: these evaluations split on this thread.
+        fresh = [
+            ExpectationEvaluator(g).expectation(Parameters(tuple(y[0]), tuple(y[1]))).hex()
+            for y in rows
+        ]
         ev = ExpectationEvaluator(g)
         ev.expectation(Parameters.from_array(x))
         in_two, submitters, errors = simulator._in_two, [], []
@@ -887,11 +913,9 @@ class TestAdvanceProbes:
         worker.join(timeout=60.0)
         assert not worker.is_alive(), "advance_probes did not finish"
         assert errors == []
-        assert set(submitters) <= {worker}
-        for y in rows:
-            phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
-            kept = ev._kept.get(y.tobytes())
-            assert kept is None or kept.hex() == ExpectationEvaluator(g).expectation(phi).hex()
+        assert set(submitters) == {worker}
+        assert len(ev._kept) == len(rows) == 8
+        assert [ev._kept[y.tobytes()].hex() for y in rows] == fresh
 
     def test_lanes_match_one_lane_under_the_default_blas_pool(self):
         # The values' last bits depend on the BLAS thread count from n = 15
@@ -934,7 +958,7 @@ class TestSplitMixer:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        n=st.integers(1, 12),
+        n=st.integers(2, 12),
         betas=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -954,16 +978,17 @@ class TestSplitMixer:
             _mixer_kernel(split, betas, n, np.empty_like(split))
         assert split.tobytes() == one.tobytes()
 
-    # Not n = 2: its halves are single amplitudes, and numpy multiplies one
-    # complex element in place in its reduction loop, without the fused
-    # multiply-add of its vector loop, so the last bit can differ from that
-    # element's in the whole row. A split half holds 2^16 or more.
-    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8])
+    # Not n = 1, whose one amplitude has no halves, nor n = 2: its halves are
+    # single amplitudes, and numpy multiplies one complex element in place
+    # in its reduction loop, without the fused multiply-add of its vector
+    # loop, so the last bit can differ from that element's in the whole row.
+    # A split half holds 2^16 or more.
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_split_layers_match_one_thread_bit_for_bit(self, n, p, monkeypatch):
         # Every one-row block splits its phase gather, mixer and probability
         # squares; zero gammas, of either sign, give signed zeros.
-        g = gen_erdos_renyi(n, 0.6, n) if n > 1 else Graph(n=1, edges=())
+        g = gen_erdos_renyi(n, 0.6, n)
         x = random_phi(np.random.default_rng(10 * n + p), p)
         resumed = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
         zero = Parameters(gammas=(0.0,) + x.gammas[1:], betas=x.betas)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qaoa_maxcut.simulator as simulator
 import qaoa_maxcut.strategies as strategies_module
 from qaoa_maxcut.graphs import (
     Graph,
@@ -287,6 +288,22 @@ class TestRegistry:
         with pytest.raises(ValueError):
             StrategyConfig(max_depth=1, bounds=REGULAR_BOUNDS, trials=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_depth", 2.0), ("trials", 2.5), ("trials", True), ("rng_seed", 1.0), ("rng_seed", "3")],
+    )
+    def test_config_names_a_field_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            StrategyConfig(**{"max_depth": 2, "bounds": REGULAR_BOUNDS, field: value})
+
+    def test_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^rng_seed must be >= 0, got -1$"):
+            StrategyConfig(max_depth=2, bounds=REGULAR_BOUNDS, rng_seed=-1)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = StrategyConfig(max_depth=np.int64(2), bounds=REGULAR_BOUNDS, rng_seed=np.uint32(5))
+        assert (cfg.max_depth, cfg.rng_seed) == (2, 5)
+
 
 class TestDepthRecordInvariants:
     def test_alpha_consistent_with_f_star(self):
@@ -353,3 +370,23 @@ class TestBatchedProbes:
         plain = run(g, cfg)
         assert served == []
         assert _bits(batched) == _bits(plain)
+
+    def test_one_and_two_cpus_give_equal_records_at_sixteen_qubits(self, monkeypatch):
+        # At n = 16 one CPU advances each gradient's probes on one lane, one
+        # row at a time, and two CPUs on two lanes.
+        g = gen_random_regular(16, 3, 7)
+        cfg = small_cfg(REGULAR_BOUNDS, max_depth=3, trials=2)
+        advance, served = strategies_module.advance_probes, []
+
+        def counting(evaluator, angles):
+            advance(evaluator, angles)
+            served.append(len(evaluator._kept))
+
+        monkeypatch.setattr(strategies_module, "advance_probes", counting)
+        records = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulator, "_cpus", lambda cpus=cpus: cpus)
+            records.append(_bits(run_bilinear(g, cfg)))
+            assert sum(served) > 0
+            served.clear()
+        assert records[0] == records[1]
