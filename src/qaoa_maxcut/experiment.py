@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graphs import Graph, _check_regular, classify, gen_erdos_renyi, gen_random_regular
+from .graphs import Graph, _check_regular, _require_count, classify, gen_erdos_renyi, gen_random_regular
 from .optimize import Bounds, OptimizerConfig, bounds_for_graph
 from .simulator import MAX_QUBITS, ExpectationEvaluator, Parameters
 from .strategies import STRATEGIES, DepthRecord, StrategyConfig
@@ -108,6 +108,11 @@ class InstanceSpec:
     prob: float | None = None
 
     def __post_init__(self) -> None:
+        try:
+            _require_count("n", self.n, 1)
+            _require_count("seed", self.seed, 0)
+        except ValueError as exc:
+            raise ConfigError(f"{self}: {exc}") from None
         if self.kind == "regular":
             if self.degree is None:
                 raise ConfigError(f"{self}: regular instance needs a degree")
@@ -126,8 +131,6 @@ class InstanceSpec:
                 raise ConfigError(f"{self}: erdos_renyi instance takes no 'degree'")
         else:
             raise ConfigError(f"{self}: unknown instance kind {self.kind!r}")
-        if self.seed < 0:
-            raise ConfigError(f"{self}: seed must be >= 0, got {self.seed}")
         if self.n > MAX_QUBITS:
             raise ConfigError(
                 f"instance {self.instance_id}: n={self.n} exceeds the simulator "
@@ -176,9 +179,11 @@ class ExperimentConfig:
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError(f"duplicate strategies in config: {self.strategies}")
         minimums = {"max_depth": 1, "trials": 1, "rng_seed": 0, "symmetry_samples": 0}
-        for name, least in minimums.items():
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        try:
+            for name, least in minimums.items():
+                _require_count(name, getattr(self, name), least)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         ids = [spec.instance_id for spec in self.instances]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate instance ids in config: {ids}")
@@ -356,8 +361,7 @@ def emit_landscape(g: Graph, resolution: int) -> str:
     """CSV grid of the depth-1 normalized expectation, `resolution` points per
     axis: gamma in [0, 2*pi), one period of gamma, and beta in [0, pi), two
     periods of beta (whose period is pi/2; see symmetry.check_periodicity)."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    _require_count("resolution", resolution, 2)
     ev = ExpectationEvaluator(g)
     if ev.c_max < 1:
         raise ValueError("graph has no edges; landscape is undefined")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,15 @@ BRUTE_FORCE_MAX_VERTICES = 24
 _REGULAR_MAX_TRIES = 2000
 
 
+def _require_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError naming the count `name` unless `value` is an integer,
+    not a bool, of at least `least`; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class GraphClass(enum.Enum):
     """Degree-based classification that selects the optimization bounds."""
 
@@ -47,8 +57,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        _require_count("vertex count", self.n, 1)
         canonical = []
         seen = set()
         for j, k in self.edges:
@@ -77,12 +86,12 @@ class Graph:
 
 
 def _check_regular(n: int, d: int) -> None:
-    """Raise ValueError when no simple d-regular graph on n vertices exists
-    (d < 0, d >= n, or n*d odd)."""
+    """Raise ValueError when n or d is not a count (n >= 1, d >= 0) or no
+    simple d-regular graph on n vertices exists (d >= n, or n*d odd)."""
+    _require_count("n", n, 1)
+    _require_count("degree", d, 0)
     if d >= n:
         raise ValueError(f"degree d={d} must be smaller than n={n}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even for a d-regular graph, got n={n}, d={d}")
 
@@ -119,6 +128,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
 def gen_erdos_renyi(n: int, prob: float, seed: int) -> Graph:
     """Sample G(n, prob): each pair (u, v), u < v in lexicographic order, is an
     edge independently with probability `prob`. Deterministic for a fixed seed."""
+    _require_count("n", n, 1)
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {prob}")
     rng = np.random.default_rng(seed)

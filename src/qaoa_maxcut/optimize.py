@@ -15,13 +15,12 @@ order, so the counts, the best point and the errors do not depend on it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import GraphClass
+from .graphs import GraphClass, _require_count
 from .simulator import Parameters
 
 __all__ = [
@@ -94,12 +93,6 @@ def clamp(phi: Parameters, b: Bounds) -> Parameters:
     return Parameters(gammas=gammas, betas=betas)
 
 
-def _require_integer(name: str, value: object) -> None:
-    """Raise ValueError naming the field unless `value` is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     gradient_step: float = DEFAULT_GRADIENT_STEP
@@ -107,7 +100,7 @@ class OptimizerConfig:
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        _require_integer("max_iterations", self.max_iterations)
+        _require_count("max_iterations", self.max_iterations, 1)
         # Written as a range test so that NaN, which compares false, fails it.
         if not all(0 < x < math.inf for x in astuple(self)):
             raise ValueError(f"optimizer settings must be positive and finite: {self}")

@@ -22,11 +22,11 @@ n = 16. The evaluator keeps their values and `expectation` returns them.
 A row gets the same operations on the same bits whatever the block's size,
 so every value is bit-identical to a one-row call's.
 
-The loop computes in a lane's working states and one scratch, which serves
-in turn as the phase gather buffer, the mixer's scratch and the full
-probability vector. Lane 0 holds one row (16 MiB together at n = 20) until
-the first `advance_probes` block grows it, so a warm evaluation allocates
-no state, apart from a prefix state stored for the first time.
+The loop computes in rows of one pair of working arrays, the states and a
+scratch, which serves in turn as the phase gather buffer, the mixer's
+scratch and the full probability vector. They hold one row (16 MiB together
+at n = 20) until the first `advance_probes` block grows them, so a warm
+evaluation allocates no state, apart from a prefix state stored anew.
 
 One helper thread serves two jobs, when the process may run on at least 2
 CPUs. A one-row block of 2 MiB or more (n >= 18) is split into a low and a
@@ -35,11 +35,11 @@ mixer pass and the probability squares with their mirror image each run on
 both halves at once, the high half on the helper, so each thread works on
 the half it last wrote. The dot product of the probabilities with the cut
 table stays one call on the calling thread. At 13 <= n <= 17,
-`advance_probes` deals the probe rows to two lanes, each with its own
-working arrays, and the helper runs lane 1; a lane's rows are too small to
-split, so the helper never submits to itself. From n = 18 the probes run
-on one lane, one row at a time, each split like a one-row call. Every
-amplitude gets the same operations either way, so results are
+`advance_probes` deals the probe rows to two lanes, each a range of rows
+of the same working arrays, and the helper runs lane 1; a lane's rows are
+too small to split, so the helper never submits to itself. From n = 18 the
+probes run on one lane, one row at a time, each split like a one-row call.
+Every amplitude gets the same operations either way, so results are
 bit-identical. The helper thread is started on first use and serves the
 whole process; a forked child starts its own.
 """
@@ -339,13 +339,13 @@ class ExpectationEvaluator:
         # Before the first call, one NaN layer: nothing to resume.
         self._angles = np.full((2, 1), np.nan)
         self._after: list[np.ndarray] = []
-        # The working states of `_layers`, one per row, and its scratch, per
-        # lane. Lane 0 holds one row until the first probe block grows it;
-        # lane 1 is made on its first block. Neither is made larger here: an
+        # The working states of `_layers`, one per row, and its scratch; a
+        # probe lane is a range of their rows. They hold one row until the
+        # first probe block grows them, and are not made larger here: an
         # array over 128 KiB made here and freed in set-up moves glibc's
         # mmap threshold, and with it the cost of later allocations.
-        self._states = [np.empty((1, 1 << (g.n - 1)), dtype=complex)]
-        self._scratch = [np.empty_like(self._states[0])]
+        self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
+        self._scratch = np.empty_like(self._states)
         # Values computed ahead by `advance_probes`, keyed by the bytes of
         # their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
@@ -359,27 +359,24 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
         return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
 
-    def _grow(self, lanes: int, rows: int) -> None:
-        """Give each of lanes 0..lanes-1 working arrays of at least `rows` rows."""
-        for lane in range(lanes):
-            if lane == len(self._states) or rows > len(self._states[lane]):
-                states = np.empty((rows, self._cut_index.size), dtype=complex)
-                # Replaces the lane's arrays, or appends lane 1's.
-                self._states[lane : lane + 1] = [states]
-                self._scratch[lane : lane + 1] = [np.empty_like(states)]
+    def _grow(self, rows: int) -> None:
+        """Give the working arrays at least `rows` rows."""
+        if rows > len(self._states):
+            self._states = np.empty((rows, self._cut_index.size), dtype=complex)
+            self._scratch = np.empty_like(self._states)
 
     def _layers(
-        self, angles: np.ndarray, starts: list[int], store: bool, lane: int = 0
+        self, angles: np.ndarray, starts: list[int], store: bool, offset: int = 0
     ) -> np.ndarray:
         """The low halves of the ansatz states at the (gammas, betas) arrays
-        angles[r], as rows of the lane's working states, which the lane's
-        next call overwrites; `_grow` has given them room. Row r resumes
-        after its first starts[r] layers (sorted), shared with the last
-        call; every later layer runs once on all rows started so far. With
-        `store`, the one row is the new last call, and its states after
-        layers 1..p-1 are stored."""
+        angles[r], as the working states' rows from row `offset` on, which
+        the next call on those rows overwrites; `_grow` has given them room.
+        Row r resumes after its first starts[r] layers (sorted), shared with
+        the last call; every later layer runs once on all rows started so
+        far. With `store`, the one row is the new last call, and its states
+        after layers 1..p-1 are stored."""
         n, (rows, _, p) = self.graph.n, angles.shape
-        states, scratch = self._states[lane][:rows], self._scratch[lane][:rows]
+        states, scratch = self._states[offset:][:rows], self._scratch[offset:][:rows]
         gammas, betas = angles.transpose(1, 2, 0)
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
@@ -439,12 +436,12 @@ class ExpectationEvaluator:
                 return kept
         return self._value(self._half(angles))
 
-    def _value(self, half: np.ndarray, lane: int = 0) -> float:
+    def _value(self, half: np.ndarray, offset: int = 0) -> float:
         """The expectation of the state whose low half is `half`."""
-        # The full probability vector, the low half then its reverse, in the
-        # lane's scratch, and summed in index order: 2 * (low half @ low
-        # cuts) would round differently and move the optimizer's path.
-        probs = self._scratch[lane][0].view(np.float64)
+        # The full probability vector, the low half then its reverse, in
+        # scratch row `offset`, and summed in index order: 2 * (low half @
+        # low cuts) would round differently and move the optimizer's path.
+        probs = self._scratch[offset].view(np.float64)
         low, high = probs[: half.size], probs[half.size :]
         if _split(half):
             # Each thread squares its half of the low half, and mirrors it
@@ -477,31 +474,32 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
         raise ValueError(f"probe angles must have shape (k, 2, p >= 1), got {angles.shape}")
     evaluator._kept = {}
     row = evaluator._cut_index.size
-    # Two lanes where a row pays for the hand-off, and is too small for the
-    # mixer to split: on the helper lane a split would wait on itself. The
-    # size test comes first, so smaller states make no syscall.
-    lanes = 2 if _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and _cpus() >= 2 else 1
-    rows_max = max(1, _PROBE_BLOCK_BYTES // (32 * row))
+    # Two lanes for two rows or more, where a row pays for the hand-off and
+    # is too small for the mixer to split: on the helper lane a split would
+    # wait on itself. The size tests come first, so they make no syscall.
+    small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 1
+    lanes = 2 if small and _cpus() >= 2 else 1
     shared = evaluator._shared_layers(angles)
     order = np.argsort(shared, kind="stable")
-    kept = [{}, {}]
+    # Lane l's blocks take the working arrays' rows from l * size on.
+    size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(angles) // lanes)))
+    evaluator._grow(lanes * size)
+    values = np.empty(len(angles))
 
-    def run(lane: int, rows: np.ndarray) -> None:
-        for first in range(0, rows.size, rows_max):
-            block = rows[first : first + rows_max]
-            states = evaluator._layers(angles[block], shared[block].tolist(), False, lane)
+    def run(lane: int) -> None:
+        rows = order[lane::lanes]
+        for first in range(0, rows.size, size):
+            block = rows[first : first + size]
+            states = evaluator._layers(angles[block], shared[block].tolist(), False, lane * size)
             # One 1-D product per row, as in `expectation`: a matrix product
             # rounds differently.
-            values = [evaluator._value(state, lane) for state in states]
-            kept[lane].update(zip((angles[r].tobytes() for r in block), values))
+            values[block] = [evaluator._value(state, lane * size) for state in states]
 
-    if lanes == 2 and order.size > 1:
-        evaluator._grow(2, min(rows_max, (order.size + 1) // 2))
-        _in_two(run, (0, order[0::2]), (1, order[1::2]))
+    if lanes == 2:
+        _in_two(run, (0,), (1,))
     else:
-        evaluator._grow(1, min(rows_max, order.size))
-        run(0, order)
-    evaluator._kept = kept[0] | kept[1]
+        run(0)
+    evaluator._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

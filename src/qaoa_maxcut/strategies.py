@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph
-from .optimize import Bounds, OptResult, OptimizerConfig, _require_integer, clamp, maximize_bounded
+from .graphs import Graph, _require_count
+from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters, advance_probes
 
 __all__ = [
@@ -66,10 +66,7 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("max_depth", 1), ("trials", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            _require_integer(name, value)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _require_count(name, getattr(self, name), least)
 
 
 def bilinear_predict(
@@ -109,8 +106,7 @@ def bilinear_predict(
 def linear_ramp_init(p: int, delta_t: float) -> Parameters:
     """Discretized-annealing start: gamma_j = (j/p)*dt ramps up,
     beta_j = (1 - j/p)*dt ramps down, j = 1..p."""
-    if p < 1:
-        raise ValueError(f"depth must be >= 1, got {p}")
+    _require_count("depth", p, 1)
     if delta_t <= 0:
         raise ValueError(f"delta_t must be positive, got {delta_t}")
     gammas = tuple(j / p * delta_t for j in range(1, p + 1))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphClass, classify, gen_erdos_renyi, gen_random_regular
+from .graphs import Graph, GraphClass, _require_count, classify, gen_erdos_renyi, gen_random_regular
 # maximize_bounded is not called here, but stays a module binding: the
 # benchmark's tracer (bench/tracing.py) wraps each module's binding of it.
 from .optimize import GENERAL_BOUNDS, OptimizerConfig, maximize_bounded  # noqa: F401
@@ -156,12 +156,9 @@ def _suite_graphs(rng: np.random.Generator) -> dict[str, list[Graph]]:
 def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> list[SymmetryReport]:
     """Run every check over `samples` random (graph, phi, p) draws each and
     report the worst deviation per transform."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if max_p < 1:
-        raise ValueError(f"max_p must be >= 1, got {max_p}")
+    _require_count("samples", samples, 1)
+    _require_count("seed", seed, 0)
+    _require_count("max_p", max_p, 1)
     rng = np.random.default_rng(seed)
     pools = {
         name: [ExpectationEvaluator(g) for g in pool]

@@ -728,6 +728,24 @@ class TestAdvanceProbes:
             advance_probes(ev, flat)
         assert ev._kept == kept
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_an_empty_stack_keeps_nothing_and_runs_no_kernel(self, lanes, monkeypatch):
+        g = gen_erdos_renyi(8, 0.6, 6)
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        stack = probe_rows(x, *GENERAL_BOUNDS.box(2)).reshape(-1, 2, 2)
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(x))
+        advance_probes(ev, stack)
+        if lanes == 2:
+            monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+            monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        calls = []
+        monkeypatch.setattr(simulator, "_phase_kernel", lambda *a: calls.append(a))
+        monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: calls.append(a))
+        advance_probes(ev, stack[:0])
+        assert ev._kept == {}
+        assert calls == []
+
     def test_rows_of_other_depths_and_two_changed_layers_are_kept(self, monkeypatch):
         # Each row resumes after the layers it shares with the last call, as
         # a call of `expectation` would: at most p - 1 of its own p, and of

@@ -12,6 +12,20 @@ from pathlib import Path
 import pytest
 
 import qaoa_maxcut
+from qaoa_maxcut import (
+    ExperimentConfig,
+    Graph,
+    InstanceSpec,
+    OptimizerConfig,
+    StrategyConfig,
+    emit_landscape,
+    gen_erdos_renyi,
+    gen_random_regular,
+    linear_ramp_init,
+    run_symmetry_suite,
+)
+from qaoa_maxcut.experiment import ConfigError
+from qaoa_maxcut.optimize import REGULAR_BOUNDS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qaoa_maxcut.__path__))
 
@@ -100,3 +114,76 @@ def test_optimization_loads_scipy_optimize(tmp_path):
         "print(before, len(records), 'scipy.optimize' in sys.modules)"
     )
     assert _fresh(code, tmp_path) == "False 2 True"
+
+
+REG3 = InstanceSpec(kind="regular", n=6, seed=0, degree=3)
+
+# (entry point, field as the message names it, least value, error class,
+# call with the count set to v).
+COUNTS = [
+    ("Graph", "vertex count", 1, ValueError, lambda v: Graph(n=v, edges=())),
+    ("gen_random_regular n", "n", 1, ValueError, lambda v: gen_random_regular(v, 0, 1)),
+    ("gen_random_regular degree", "degree", 0, ValueError, lambda v: gen_random_regular(6, v, 1)),
+    ("gen_erdos_renyi", "n", 1, ValueError, lambda v: gen_erdos_renyi(v, 0.5, 1)),
+    (
+        "OptimizerConfig", "max_iterations", 1, ValueError,
+        lambda v: OptimizerConfig(max_iterations=v),
+    ),
+    *(
+        (
+            f"StrategyConfig {name}", name, least, ValueError,
+            lambda v, name=name: StrategyConfig(
+                **{"max_depth": 1, "bounds": REGULAR_BOUNDS, name: v}
+            ),
+        )
+        for name, least in [("max_depth", 1), ("trials", 1), ("rng_seed", 0)]
+    ),
+    ("linear_ramp_init", "depth", 1, ValueError, lambda v: linear_ramp_init(v, 0.5)),
+    *(
+        (
+            f"InstanceSpec {kind} {name}", name, least, ConfigError,
+            lambda v, kind=kind, name=name: InstanceSpec(
+                **{"kind": kind, "n": 6, "seed": 0, **extra, name: v}
+            ),
+        )
+        for kind, extra in [("regular", {"degree": 3}), ("erdos_renyi", {"prob": 0.5})]
+        for name, least in [("n", 1), ("seed", 0)]
+    ),
+    *(
+        (
+            f"ExperimentConfig {name}", name, least, ConfigError,
+            lambda v, name=name: ExperimentConfig(
+                instances=(REG3,), strategies=("bilinear",), **{name: v}
+            ),
+        )
+        for name, least in [
+            ("max_depth", 1), ("trials", 1), ("rng_seed", 0), ("symmetry_samples", 0)
+        ]
+    ),
+    (
+        "emit_landscape", "resolution", 2, ValueError,
+        lambda v: emit_landscape(Graph(n=2, edges=((0, 1),)), v),
+    ),
+    *(
+        (
+            f"run_symmetry_suite {name}", name, least, ValueError,
+            lambda v, name=name: run_symmetry_suite(**{"samples": 1, name: v}),
+        )
+        for name, least in [("samples", 1), ("seed", 0), ("max_p", 1)]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "field, least, error, call", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS]
+)
+def test_every_public_count_is_an_integer_of_at_least_its_least_value(field, least, error, call):
+    # A float of integral value, a bool and one below the least value each
+    # fail at once, naming the field; the two config classes raise ConfigError.
+    for value in (float(least + 1), True, False):
+        with pytest.raises(error) as caught:
+            call(value)
+        assert f"{field} must be an integer, got {value!r}" in str(caught.value)
+    with pytest.raises(error) as caught:
+        call(least - 1)
+    assert f"{field} must be >= {least}, got {least - 1}" in str(caught.value)
