@@ -103,6 +103,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     exists (see `_check_regular`), and RuntimeError when the pairing model
     finds none in its tries.
     """
+    _require_count("seed", seed, 0)
     _check_regular(n, d)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
@@ -128,6 +129,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
 def gen_erdos_renyi(n: int, prob: float, seed: int) -> Graph:
     """Sample G(n, prob): each pair (u, v), u < v in lexicographic order, is an
     edge independently with probability `prob`. Deterministic for a fixed seed."""
+    _require_count("seed", seed, 0)
     _require_count("n", n, 1)
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {prob}")

@@ -6,10 +6,13 @@ when the package loads: code that only simulates, such as the `landscape`,
 `verify`, `gen`, `table` and `trace` commands, never loads scipy.
 
 The gradient is by central finite differences, 2 probes per coordinate, all
-counted in nfev. An objective may carry a `prefetch` attribute: each
-gradient then hands it every probe first, so that it can compute their
-values together, and still calls the objective once per probe, in the same
-order, so the counts, the best point and the errors do not depend on it.
+counted in nfev. An objective may carry a `prefetch` attribute. Each
+L-BFGS-B request is a point and then the gradient there, so the objective
+call at a new point hands `prefetch` that point followed by its probes, and
+the gradient only reads values computed with them; a gradient at a point
+not handed over hands over its own probes. The objective is still called
+once per point and once per probe, in the same order, so the counts, the
+best point and the errors do not depend on `prefetch`.
 """
 
 from __future__ import annotations
@@ -154,6 +157,28 @@ class _CountedObjective:
         return value
 
 
+def _probes(
+    x: np.ndarray, lower: np.ndarray, upper: np.ndarray, step: float
+) -> tuple[list[int], np.ndarray]:
+    """The central-difference gradient probes at x, in calling order: the
+    probed coordinates k, and rows 2i and 2i + 1 of the returned array are
+    x + h e_k and x - h e_k for the i-th of them."""
+    # Probes are clamped into the box, so every counted evaluation is at a
+    # feasible point; at an active bound this degrades to a one-sided
+    # difference over the actual spread.
+    # For the flat layout [gammas, betas] the coordinates are probed layer by
+    # layer from the last, so each probe shares every earlier layer with the
+    # point before it and an evaluator resumes from there. The values, and so
+    # the gradient, do not depend on the order; any length is visited whole.
+    p = max(1, x.size // 2)
+    order = sorted(range(x.size), key=lambda i: -(i % p))
+    rows = np.repeat(x[None], 2 * x.size, axis=0)
+    for i, k in enumerate(order):
+        rows[2 * i, k] = min(x[k] + step, upper[k])
+        rows[2 * i + 1, k] = max(x[k] - step, lower[k])
+    return order, rows
+
+
 def _fd_gradient(
     fun: Callable[[np.ndarray], float],
     x: np.ndarray,
@@ -162,28 +187,14 @@ def _fd_gradient(
     step: float,
     prefetch: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    # Central differences with probes clamped into the box, so every counted
-    # evaluation is at a feasible point; at an active bound this degrades to a
-    # one-sided difference over the actual spread.
-    # For the flat layout [gammas, betas] the coordinates are probed layer by
-    # layer from the last, so each probe shares every earlier layer with the
-    # point before it and an evaluator resumes from there. The values, and so
-    # the gradient, do not depend on the order; any length is visited whole.
     # `prefetch` gets every probe first, one per row in calling order, and
     # may compute their values ahead; `fun` is still called once per probe.
-    p = max(1, x.size // 2)
-    probes = []
-    for k in sorted(range(x.size), key=lambda i: -(i % p)):
-        hi = min(x[k] + step, upper[k])
-        lo = max(x[k] - step, lower[k])
-        xp, xm = x.copy(), x.copy()
-        xp[k] = hi
-        xm[k] = lo
-        probes.append((k, xp, xm, hi - lo))
+    order, rows = _probes(x, lower, upper, step)
     if prefetch is not None:
-        prefetch(np.array([y for _, xp, xm, _ in probes for y in (xp, xm)]))
+        prefetch(rows)
     grad = np.empty_like(x)
-    for k, xp, xm, spread in probes:
+    for k, xp, xm in zip(order, rows[::2], rows[1::2]):
+        spread = xp[k] - xm[k]
         grad[k] = (fun(xp) - fun(xm)) / spread
     return grad
 
@@ -205,8 +216,10 @@ def maximize_flat(
     of `fun` raises OptimizationError. A box that is not finite and
     non-degenerate in every coordinate (the rule `Bounds` applies) or a start
     outside it raises ValueError before `fun` is called. When `fun` has a
-    `prefetch` attribute, each gradient first calls `fun.prefetch(rows)` with
-    its probes, one flat point per row in calling order.
+    `prefetch` attribute, each call of `fun` at a new point x is preceded by
+    `fun.prefetch(rows)`, whose row 0 is x and whose other rows are x's
+    gradient probes, one flat point per row in calling order; a gradient at
+    a point not prefetched so first hands `fun.prefetch` its probes alone.
     """
     from scipy.optimize import minimize  # deferred: see the module docstring
 
@@ -229,12 +242,21 @@ def maximize_flat(
 
     counted = _CountedObjective(fun)
     prefetch = getattr(fun, "prefetch", None)
+    step = config.gradient_step
+    # The bytes of the last point handed to `prefetch` with its probes.
+    ahead = b""
 
     def neg(x: np.ndarray) -> float:
+        nonlocal ahead
+        if prefetch is not None:
+            # L-BFGS-B asks for the gradient at x next: one block serves both.
+            prefetch(np.concatenate(([x], _probes(x, lower, upper, step)[1])))
+            ahead = x.tobytes()
         return -counted(x)
 
     def neg_grad(x: np.ndarray) -> np.ndarray:
-        return -_fd_gradient(counted, x, lower, upper, config.gradient_step, prefetch)
+        fetch = None if x.tobytes() == ahead else prefetch
+        return -_fd_gradient(counted, x, lower, upper, step, fetch)
 
     res = minimize(
         neg,
@@ -263,8 +285,8 @@ def maximize_bounded(
     `phi0` must already lie inside the box (callers clamp first). The
     reported nfev is exactly the number of `objective` calls made. A
     non-finite objective value raises maximize_flat's OptimizationError.
-    An `objective.prefetch` gets each gradient's probes as a (k, 2, p)
-    array of (gammas, betas) rows; see `maximize_flat`.
+    An `objective.prefetch` gets each new point followed by its gradient's
+    probes as a (k, 2, p) array of (gammas, betas) rows; see `maximize_flat`.
     """
     if not b.contains(phi0):
         raise ValueError(f"start {phi0} violates bounds {b}; clamp first")

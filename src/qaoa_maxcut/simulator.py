@@ -13,12 +13,17 @@ returns the full 2^n state, mirrored from the half, in a new array.
 
 Every evaluation runs through the evaluator's one layer loop on a block of
 half states, one per row, with per-row angles. Each row resumes after the
-leading layers it shares bit for bit with the last call of `expectation` or
-`prepare`. Such a call is a block of one row, and stores its own prefix
+leading layers it shares bit for bit with the last call. A call of
+`expectation` or `prepare` is a block of one row, and stores its own prefix
 states. `advance_probes` computes every row of a stack of points ahead,
-such as a point's finite-difference gradient probes, in blocks of at most
-about 1 MiB of states and scratch each: up to 64 rows at n = 10, one from
-n = 16. The evaluator keeps their values and `expectation` returns them.
+such as a point followed by its finite-difference gradient probes, in
+blocks of at most about 1 MiB of states and scratch each: up to 64 rows at
+n = 10, one from n = 16. Its row 0 becomes the last call and stores its
+prefix states as the loop computes them; every other row resumes from
+them. The evaluator keeps the rows' values and `expectation` returns them.
+The mixer mixes each run of rows with a bit-equal angle as one flat row,
+by scalar coefficients; a block of several rows of two-lane size (below)
+takes per-row coefficient arrays.
 A row gets the same operations on the same bits whatever the block's size,
 so every value is bit-identical to a one-row call's.
 
@@ -35,10 +40,11 @@ mixer pass and the probability squares with their mirror image each run on
 both halves at once, the high half on the helper, so each thread works on
 the half it last wrote. The dot product of the probabilities with the cut
 table stays one call on the calling thread. At 13 <= n <= 17,
-`advance_probes` deals the probe rows to two lanes, each a range of rows
-of the same working arrays, and the helper runs lane 1; a lane's rows are
-too small to split, so the helper never submits to itself. From n = 18 the
-probes run on one lane, one row at a time, each split like a one-row call.
+`advance_probes` runs row 0 alone, then deals the other rows to two lanes,
+each a range of rows of the same working arrays, and the helper runs lane
+1; a lane's rows are too small to split, so the helper never submits to
+itself. From n = 18 the rows run on one lane, one at a time, each split
+like a one-row call.
 Every amplitude gets the same operations either way, so results are
 bit-identical. The helper thread is started on first use and serves the
 whole process; a forked child starts its own.
@@ -223,6 +229,17 @@ def _combine(state: np.ndarray, scratch: np.ndarray, c) -> None:
     state += scratch
 
 
+def _runs(betas):
+    """(first, stop, beta) for each run betas[first:stop] of bit-equal angles,
+    so 0.0 and -0.0 start different runs."""
+    betas = np.asarray(betas, dtype=float)
+    bits, first = betas.view(np.int64).tolist(), 0
+    for stop in range(1, len(bits) + 1):
+        if stop == len(bits) or bits[stop] != bits[first]:
+            yield first, stop, float(betas[first])
+            first = stop
+
+
 def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None:
     """In place: apply exp(-i * betas[r] * X) to each of the n qubits of row
     r of `block`, a (rows, 2^(n-1)) array of flip-symmetric states, each
@@ -233,27 +250,34 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None
     # ops. One scratch serves every pass; a fresh one per pass raised the
     # peak memory at n = 20 by a state's size. math, not np.cos: numpy's
     # vector cos may round differently.
-    if len(betas) == 1:
-        # Scalars broadcast over the one row, and cost less to make than arrays.
-        c, s = math.cos(betas[0]), -1j * math.sin(betas[0])
-        c_pass, s_pass = c, s
-    else:
-        # (rows, 1) for whole rows, (rows, 1, 1, 1) for the passes' 4-D views.
+    if len(betas) > 1 and block.shape[1] >= _LANE_MIN_AMPLITUDES:
+        # Rows of two-lane size take per-row coefficients: (rows, 1) for
+        # whole rows, (rows, 1, 1, 1) for the passes' 4-D views. Runs of
+        # scalars, as below, were slower here.
         c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
         s = np.array([-1j * math.sin(b) for b in betas])[:, None]
-        c_pass, s_pass = c[..., None, None], s[..., None, None]
-    # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of its
-    # complement 2^(n-1) - 1 - z: the row reversed.
-    reverse = block[:, ::-1]
-    if not _split(block):
-        _passes(block, scratch, c_pass, s_pass, n - 1)
-        np.multiply(reverse, s, out=scratch)
+        _passes(block, scratch, c[..., None, None], s[..., None, None], n - 1)
+        np.multiply(block[:, ::-1], s, out=scratch)
         _combine(block, scratch, c)
+        return
+    if not _split(block):
+        # Each run of rows that share a beta, as one flat row: numpy
+        # multiplies by a Python scalar 1.7-2.4 times as fast as by a
+        # (rows, 1, 1, 1) array.
+        for first, stop, beta in _runs(betas):
+            c, s = math.cos(beta), -1j * math.sin(beta)
+            run, work = block[first:stop], scratch[first:stop]
+            _passes(run.reshape(1, -1), work.reshape(1, -1), c, s, n - 1)
+            # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of
+            # its complement 2^(n-1) - 1 - z: the row reversed.
+            np.multiply(run[:, ::-1], s, out=work)
+            _combine(run, work, c)
         return
     # The same operations on two disjoint halves of every pass of the one
     # row, one half on the helper thread, so each amplitude gets the same
     # bits as above. The last pass leaves each half with the thread that
     # gathers its next phases and squares its probabilities.
+    c, s = math.cos(betas[0]), -1j * math.sin(betas[0])
     m = block.size // 2
     lo, hi = np.s_[:, :m], np.s_[:, m:]
     # Qubits 0..n-3 pair amplitudes within each half of the row.
@@ -264,6 +288,7 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None
     _in_two(_pass, (view[:, :k], swapped[:, :k], c, s), (view[:, k:], swapped[:, k:], c, s))
     # Qubit n-1 reads each half's partner from the other half, so every
     # partner is read before any amplitude changes.
+    reverse = block[:, ::-1]
     _in_two(np.multiply, (reverse[lo], s, scratch[lo]), (reverse[hi], s, scratch[hi]))
     _in_two(_combine, (block[lo], scratch[lo], c), (block[hi], scratch[hi], c))
 
@@ -311,11 +336,13 @@ class ExpectationEvaluator:
     states after layers 1..p-1, and a call, or a row that `advance_probes`
     computes ahead, resumes from the deepest layer whose (gamma_j, beta_j)
     pairs, and all before it, are bit-equal to the last call's (a NaN angle
-    never matches). A resumed state comes from the
-    same kernel calls on the same bits, so every result is bit-identical to
-    a fresh evaluator's. States are held as their low half (see the module
-    docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
-    the deepest p seen, 56 MiB at n = 20, p = 8.
+    never matches). The last call is the last one `expectation` or
+    `prepare` computed, or row 0 of the last `advance_probes`. A resumed
+    state comes from the same kernel calls on the same bits, so every
+    result is bit-identical to a fresh evaluator's. States are held as their
+    low half (see the module docstring), so the stored ones cost up to
+    (p-1) * 2^(n-1) * 16 bytes at the deepest p seen, 56 MiB at n = 20,
+    p = 8.
 
     It also keeps the values that `advance_probes` last computed ahead,
     keyed by the exact bits of their angles, and `expectation` returns one
@@ -366,15 +393,16 @@ class ExpectationEvaluator:
             self._scratch = np.empty_like(self._states)
 
     def _layers(
-        self, angles: np.ndarray, starts: list[int], store: bool, offset: int = 0
+        self, angles: np.ndarray, starts: list[int], stored: int | None, offset: int = 0
     ) -> np.ndarray:
         """The low halves of the ansatz states at the (gammas, betas) arrays
         angles[r], as the working states' rows from row `offset` on, which
         the next call on those rows overwrites; `_grow` has given them room.
         Row r resumes after its first starts[r] layers (sorted), shared with
         the last call; every later layer runs once on all rows started so
-        far. With `store`, the one row is the new last call, and its states
-        after layers 1..p-1 are stored."""
+        far. Row `stored`, if any, is the new last call: its states after
+        layers starts[stored] + 1..p-1 are stored as they are computed, so
+        the rows that start after it resume from them."""
         n, (rows, _, p) = self.graph.n, angles.shape
         states, scratch = self._states[offset:][:rows], self._scratch[offset:][:rows]
         gammas, betas = angles.transpose(1, 2, 0)
@@ -385,6 +413,7 @@ class ExpectationEvaluator:
             # |+>^n's amplitude times each phase: the products of a fill and
             # a phase kernel, bit for bit, from one gather of the scaled table.
             tables[0] *= 2.0 ** (-n / 2)
+        store = p - 1 if stored is None else starts[stored]
         started = 0
         for j in range(first, p):
             if started < rows:
@@ -396,10 +425,10 @@ class ExpectationEvaluator:
                 block, work = states[:started], scratch[:started]
             _phase_kernel(block, self._cut_index, tables[j - first, :started], work if j else None)
             _mixer_kernel(block, betas[j, :started], n, work)
-            if store and j < p - 1:
+            if store <= j < p - 1:
                 if j == len(self._after):
                     self._after.append(np.empty_like(block[0]))
-                np.copyto(self._after[j], block[0])
+                np.copyto(self._after[j], block[stored])
         return states
 
     def _half(self, angles: np.ndarray) -> np.ndarray:
@@ -410,7 +439,7 @@ class ExpectationEvaluator:
         # The loop overwrites stored states from k on; should it raise, the
         # next call must resume from at most the first k.
         self._angles = angles[:, : k + 1]
-        half = self._layers(angles[None], [k], store=True)[0]
+        half = self._layers(angles[None], [k], 0)[0]
         self._angles = angles
         return half
 
@@ -426,8 +455,8 @@ class ExpectationEvaluator:
         """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z).
 
         A value that `advance_probes` computed ahead at bit-equal angles is
-        returned as it is, and the stored states stay those of the last call
-        computed here.
+        returned as it is, and the stored states stay those of the last
+        call.
         """
         angles = np.array((phi.gammas, phi.betas))
         if self._kept:
@@ -458,39 +487,61 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     """Compute ahead, together, the expectations at the rows of `angles`.
 
     `angles` has shape (k, 2, p) with p >= 1: row r is the (gammas, betas)
-    array of one point, such as a finite-difference gradient probe. Each
-    row resumes after the leading layers it shares with the evaluator's
-    last call, as a call of `expectation` would; the rows are sorted by that
-    count and run as blocks of the evaluator's layer loop, storing nothing,
-    on one lane or two (see the module docstring). Each element gets the
-    same operations as in a one-row call, so every value is bit-identical
-    to `expectation`'s. The values of all k rows replace the evaluator's
-    kept ones, and `expectation` returns one when called with bit-equal
-    angles; nothing else of the evaluator changes, apart from its working
-    states. Input of any other shape raises ValueError and changes nothing.
+    array of one point, such as a point followed by its finite-difference
+    gradient probes. Row 0 becomes the evaluator's last call, exactly as a
+    call of `expectation` would leave it: it resumes after the leading
+    layers it shares with the last call, and its states after layers
+    1..p-1 are stored as they are computed. Every other row resumes after
+    the layers it shares with row 0; the rows are sorted by that count and
+    run as blocks of the evaluator's layer loop, on one lane or two (see
+    the module docstring). On two lanes row 0 runs first and alone. Each
+    element gets the same operations as in a one-row call, so every value
+    is bit-identical to `expectation`'s. The values of all k rows replace
+    the evaluator's kept ones, and `expectation` returns one when called
+    with bit-equal angles. Should the loop raise, nothing is kept and the
+    stored states are those of at most the layers row 0 shares with the
+    last call. Input of any other shape raises ValueError and changes
+    nothing.
     """
     angles = np.ascontiguousarray(angles, dtype=float)
     if angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
         raise ValueError(f"probe angles must have shape (k, 2, p >= 1), got {angles.shape}")
     evaluator._kept = {}
+    if not len(angles):
+        return
     row = evaluator._cut_index.size
-    # Two lanes for two rows or more, where a row pays for the hand-off and
-    # is too small for the mixer to split: on the helper lane a split would
-    # wait on itself. The size tests come first, so they make no syscall.
-    small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 1
+    # Two lanes for two rows or more after row 0, where a row pays for the
+    # hand-off and is too small for the mixer to split: on the helper lane a
+    # split would wait on itself. The size tests come first, so they make no
+    # syscall.
+    small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 2
     lanes = 2 if small and _cpus() >= 2 else 1
+    head = angles[0].copy()
+    k = int(evaluator._shared_layers(head))
+    evaluator._angles = head
     shared = evaluator._shared_layers(angles)
-    order = np.argsort(shared, kind="stable")
-    # Lane l's blocks take the working arrays' rows from l * size on.
-    size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(angles) // lanes)))
-    evaluator._grow(lanes * size)
+    shared[0] = k
+    # The loop overwrites stored states from k on; should it raise, the next
+    # call must resume from at most the first k.
+    evaluator._angles = head[:, : k + 1]
     values = np.empty(len(angles))
+    if lanes == 2:
+        # Row 0 first and alone: a lane must not read the states it stores.
+        values[0] = evaluator._value(evaluator._layers(angles[:1], [k], 0)[0])
+        order, at = np.argsort(shared[1:], kind="stable") + 1, -1
+    else:
+        # A stable sort puts row 0 first among the rows that share k layers.
+        order, at = np.argsort(shared, kind="stable"), int(np.count_nonzero(shared < k))
+    # Lane l's blocks take the working arrays' rows from l * size on.
+    size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(order) // lanes)))
+    evaluator._grow(lanes * size)
 
     def run(lane: int) -> None:
         rows = order[lane::lanes]
         for first in range(0, rows.size, size):
             block = rows[first : first + size]
-            states = evaluator._layers(angles[block], shared[block].tolist(), False, lane * size)
+            stored = at - first if first <= at < first + size else None
+            states = evaluator._layers(angles[block], shared[block].tolist(), stored, lane * size)
             # One 1-D product per row, as in `expectation`: a matrix product
             # rounds differently.
             values[block] = [evaluator._value(state, lane * size) for state in states]
@@ -499,6 +550,7 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
         _in_two(run, (0,), (1,))
     else:
         run(0)
+    evaluator._angles = head
     evaluator._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
 
 

@@ -241,6 +241,7 @@ def _fixing_starts(prev: Parameters, p: int, cfg: StrategyConfig) -> list[Parame
 def base_exhaustion(g: Graph, p: int, cfg: StrategyConfig) -> DepthRecord:
     """Best of a seeded multistart at depth 1 or 2, establishing the base
     optima that the depth-progressive strategies build on."""
+    _require_count("depth", p, 1)
     if p not in (1, 2):
         raise ValueError(f"base exhaustion is for depths 1 and 2, got {p}")
 

@@ -5,11 +5,13 @@ import pytest
 
 from qaoa_maxcut.graphs import Graph, GraphClass, gen_random_regular
 from qaoa_maxcut.optimize import (
+    DEFAULT_GRADIENT_STEP,
     GENERAL_BOUNDS,
     REGULAR_BOUNDS,
     Bounds,
     OptimizationError,
     OptimizerConfig,
+    _fd_gradient,
     bounds_for_graph,
     clamp,
     maximize_bounded,
@@ -202,17 +204,18 @@ class TestOptimizerConfig:
 
 
 class TestPrefetch:
-    """An objective's `prefetch` hook gets each gradient's probes first; the
-    optimizer still calls the objective once per probe."""
+    """An objective's `prefetch` hook gets each new point with its gradient's
+    probes first; the optimizer still calls the objective once per point and
+    once per probe."""
 
     def test_non_finite_batched_probe_is_accounted_as_on_the_plain_path(self, monkeypatch):
         g = gen_random_regular(8, 3, 2)
         phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
         layers, poisoned = ExpectationEvaluator._layers, []
 
-        def poisoning(evaluator, angles, starts, store, lane=0):
-            states = layers(evaluator, angles, starts, store, lane)
-            if not store and not poisoned:  # the first gradient, on a probe of its middle layer
+        def poisoning(evaluator, angles, starts, stored, offset=0):
+            states = layers(evaluator, angles, starts, stored, offset)
+            if not poisoned:  # the start's block, on a probe of its middle layer
                 r = starts.index(1)
                 poisoned.append(angles[r].tobytes())
                 states[r] = math.nan
@@ -252,9 +255,50 @@ class TestPrefetch:
         fun.prefetch = lambda rows: blocks.append(rows.copy())
         _, _, nfev, _ = maximize_flat(fun, np.array([0.0, 0.1, 0.2, 0.9]), np.zeros(4), np.ones(4))
         assert nfev == len(calls)
-        assert blocks
+        # Each block is one request: the point, then its 8 probes, called
+        # in that order before the next block.
+        assert len(blocks) * 9 == nfev
         calls = np.array(calls)
-        for block in blocks:
-            k = len(block)
-            assert k == 8
-            assert any(np.array_equal(calls[i : i + k], block) for i in range(len(calls) - k + 1))
+        for i, block in enumerate(blocks):
+            assert block.shape == (9, 4)
+            assert np.array_equal(calls[9 * i : 9 * i + 9], block)
+
+    def test_a_gradient_at_a_point_not_prefetched_prefetches_its_probes(self):
+        calls, blocks = [], []
+
+        def fun(y):
+            calls.append(y.copy())
+            return -float(np.sum((y - 0.5) ** 2))
+
+        x, box = np.array([0.2, 0.4, 1.0]), (np.zeros(3), np.ones(3))
+        _fd_gradient(fun, x, *box, DEFAULT_GRADIENT_STEP, lambda rows: blocks.append(rows.copy()))
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.array(calls))
+
+    def test_one_block_per_request_at_ten_qubits(self, monkeypatch):
+        # Each objective call at a new point advances the point with its
+        # probes, and the gradient only reads their values: no one-row block.
+        ev = ExpectationEvaluator(gen_random_regular(10, 3, 4))
+        phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
+        layers, blocks, advanced, points = ExpectationEvaluator._layers, [], [], []
+
+        def counting(evaluator, angles, *args):
+            blocks.append(len(angles))
+            return layers(evaluator, angles, *args)
+
+        def objective(phi):
+            points.append(phi)
+            return ev.expectation(phi)
+
+        def prefetch(angles):
+            advanced.append(angles[0].tobytes())
+            advance_probes(ev, angles)
+
+        objective.prefetch = prefetch
+        monkeypatch.setattr(ExpectationEvaluator, "_layers", counting)
+        res = maximize_bounded(objective, phi0, REGULAR_BOUNDS)
+        # 1 + 4p calls per request, the first of each at the point advanced.
+        assert res.nfev == len(points) == 13 * len(advanced)
+        requests = [np.array((phi.gammas, phi.betas)).tobytes() for phi in points[::13]]
+        assert advanced == requests
+        assert blocks and min(blocks) > 1

@@ -689,8 +689,8 @@ class TestAdvanceProbes:
             assert blocks == [1] * len(rows)
             blocks.clear()
             assert set(ev._kept) == {y.tobytes() for y in rows}
-            # The rows stored nothing: the last call is still x.
-            assert ev._angles.tobytes() == x.reshape(2, 1).tobytes()
+            # Row 0 is the new last call.
+            assert ev._angles.tobytes() == rows[0].tobytes()
             for y in rows:
                 phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
                 assert ev._kept[y.tobytes()].hex() == ExpectationEvaluator(g).expectation(phi).hex()
@@ -747,9 +747,10 @@ class TestAdvanceProbes:
         assert calls == []
 
     def test_rows_of_other_depths_and_two_changed_layers_are_kept(self, monkeypatch):
-        # Each row resumes after the layers it shares with the last call, as
-        # a call of `expectation` would: at most p - 1 of its own p, and of
+        # Row 0 resumes after the layers it shares with the last call, as a
+        # call of `expectation` would: at most p - 1 of its own p, and of
         # the last call's 3, whose states after layers 1 and 2 are stored.
+        # It becomes the last call, and every other row resumes from it.
         g = gen_erdos_renyi(8, 0.6, 6)
         base = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
         ev = ExpectationEvaluator(g)
@@ -763,12 +764,12 @@ class TestAdvanceProbes:
         one_and_three[0, 0] += 1e-3
         one_and_three[1, 2] += 1e-3
         two_and_three[0, 1:] += 1e-3
-        # Each stack with the row-layers its rows compute.
+        # Each stack with the row-layers its rows compute, in this order.
         stacks = [
-            (np.array([deeper, deepest]), 2 + 2),
+            (np.array([deeper, deepest]), 2 + 1),
             (np.array([base[:, :2], shallower]), 1 + 1),
             (base[None, :, :1], 1),
-            (np.array([one_and_three, two_and_three]), 3 + 2),
+            (np.array([one_and_three, two_and_three]), 3 + 3),
         ]
         kernel = simulator._mixer_kernel
         for stack, row_layers in stacks:
@@ -842,6 +843,119 @@ class TestAdvanceProbes:
         assert sum(rows) == 2 * p * (p + 1)
         assert len(rows) == p
         assert one_row == []
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_runs_of_bit_equal_betas_match_one_row_calls(self, n, p, monkeypatch):
+        # A long run, two single rows and a 0.0 / -0.0 pair, in every layer;
+        # the gammas differ, so every row starts at layer 1.
+        column = [0.3] * 5 + [0.7, 1.1, 0.0, -0.0]
+        assert [(a, b, math.copysign(1.0, beta)) for a, b, beta in simulator._runs(column)] == [
+            (0, 5, 1.0), (5, 6, 1.0), (6, 7, 1.0), (7, 8, 1.0), (8, 9, -1.0)
+        ]
+        g = gen_erdos_renyi(n, 0.6, n)
+        stack = np.empty((len(column), 2, p))
+        stack[:, 0] = np.random.default_rng(p).uniform(0.0, 2.0, (len(column), p))
+        stack[:, 1] = np.array(column)[:, None]
+        kernel, columns = simulator._mixer_kernel, []
+
+        def recording(block, betas, n, scratch):
+            columns.append(np.array(betas).tobytes())
+            kernel(block, betas, n, scratch)
+
+        ev = ExpectationEvaluator(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_mixer_kernel", recording)
+            advance_probes(ev, stack)
+        assert columns == [np.array(column).tobytes()] * p
+        for y in stack:
+            phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+        # The kernel alone: each row of a block as if mixed on its own.
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(len(column), 1 << (n - 1))) + 0j
+        one = block.copy()
+        for row, beta in zip(one, column):
+            _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]))
+        _mixer_kernel(block, np.array(column), n, np.empty_like(block))
+        assert block.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("near", [False, True], ids=["cached elsewhere", "cached near"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_row_zero_becomes_the_last_call(self, k, near, lanes, monkeypatch):
+        if lanes == 2:
+            monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+            monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_erdos_renyi(8, 0.6, 9)
+        p = 4
+        rng = np.random.default_rng(k)
+        lower, upper = GENERAL_BOUNDS.box(p)
+        x = rng.uniform(lower, upper)
+        stack = np.concatenate(([x], probe_rows(x, lower, upper))).reshape(-1, 2, p)
+        # Cached near, the last call shares 2 layers with row 0: the probes
+        # of layers 1-2 sort before it, sharing fewer, and those of layer 4
+        # resume from the state it stores after layer 3.
+        cached = x.copy() if near else rng.uniform(lower, upper)
+        cached[2] += 0.01
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters.from_array(cached))
+        advance_probes(ev, stack)
+        assert ev._angles.tobytes() == stack[0].tobytes()
+        head = Parameters.from_array(x)
+        assert ev.prepare(head).tobytes() == ExpectationEvaluator(g).prepare(head).tobytes()
+        # A call that shares k layers with row 0 computes the other p - k.
+        y = stack[0].copy()
+        y[1, k] += 0.01
+        phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+        kernel, calls = simulator._mixer_kernel, []
+
+        def counting(block, betas, n, scratch):
+            calls.append(len(betas))
+            kernel(block, betas, n, scratch)
+
+        fresh = ExpectationEvaluator(g).expectation(phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_mixer_kernel", counting)
+            assert ev.expectation(phi).hex() == fresh.hex()
+        assert calls == [1] * (p - k)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_block_that_raises_keeps_at_most_row_zeros_shared_layers(self, lanes, monkeypatch):
+        if lanes == 2:
+            monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+            monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        g = gen_erdos_renyi(7, 0.6, 8)
+        p = 4
+        lower, upper = GENERAL_BOUNDS.box(p)
+        last = np.array([[0.1, 0.2, 0.3, 0.35], [0.4, 0.5, 0.6, 0.65]])
+        head = last.copy()
+        head[0, 1] = 0.9  # row 0 shares layer 1 with the last call
+        stack = np.concatenate(([head.ravel()], probe_rows(head.ravel(), lower, upper)))
+        ev = ExpectationEvaluator(g)
+        ev.expectation(Parameters(tuple(last[0]), tuple(last[1])))
+        before = ev._after[1].copy()
+        kernel = simulator._mixer_kernel
+
+        def failing(block, betas, n, scratch):
+            # Once row 0 has stored its state after layer 2, not yet after 3.
+            if not np.array_equal(ev._after[1], before):
+                raise MemoryError
+            kernel(block, betas, n, scratch)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_mixer_kernel", failing)
+            with pytest.raises(MemoryError):
+                advance_probes(ev, stack.reshape(-1, 2, p))
+        assert ev._kept == {}
+        near_last, near_head = last.copy(), head.copy()
+        near_last[1, 3] = near_head[1, 3] = 0.7
+        assert max(ev._shared_layers(np.array([near_head, near_last, head, last]))) <= 1
+        phi = Parameters(gammas=tuple(near_head[0]), betas=tuple(near_head[1]))
+        assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+        for y in (last, near_last, head):
+            phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
 
     @pytest.mark.parametrize("failing", ["one lane", "caller lane", "helper lane"])
     def test_a_batch_that_raises_keeps_nothing(self, failing, monkeypatch):

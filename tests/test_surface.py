@@ -18,6 +18,7 @@ from qaoa_maxcut import (
     InstanceSpec,
     OptimizerConfig,
     StrategyConfig,
+    base_exhaustion,
     emit_landscape,
     gen_erdos_renyi,
     gen_random_regular,
@@ -124,7 +125,9 @@ COUNTS = [
     ("Graph", "vertex count", 1, ValueError, lambda v: Graph(n=v, edges=())),
     ("gen_random_regular n", "n", 1, ValueError, lambda v: gen_random_regular(v, 0, 1)),
     ("gen_random_regular degree", "degree", 0, ValueError, lambda v: gen_random_regular(6, v, 1)),
+    ("gen_random_regular seed", "seed", 0, ValueError, lambda v: gen_random_regular(6, 3, v)),
     ("gen_erdos_renyi", "n", 1, ValueError, lambda v: gen_erdos_renyi(v, 0.5, 1)),
+    ("gen_erdos_renyi seed", "seed", 0, ValueError, lambda v: gen_erdos_renyi(6, 0.5, v)),
     (
         "OptimizerConfig", "max_iterations", 1, ValueError,
         lambda v: OptimizerConfig(max_iterations=v),
@@ -139,6 +142,12 @@ COUNTS = [
         for name, least in [("max_depth", 1), ("trials", 1), ("rng_seed", 0)]
     ),
     ("linear_ramp_init", "depth", 1, ValueError, lambda v: linear_ramp_init(v, 0.5)),
+    (
+        "base_exhaustion", "depth", 1, ValueError,
+        lambda v: base_exhaustion(
+            Graph(n=2, edges=((0, 1),)), v, StrategyConfig(max_depth=1, bounds=REGULAR_BOUNDS)
+        ),
+    ),
     *(
         (
             f"InstanceSpec {kind} {name}", name, least, ConfigError,

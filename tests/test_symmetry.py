@@ -230,9 +230,10 @@ class TestNonAdiabaticProgression:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         non_adiabatic_progression(gen_random_regular(8, 3, 3), max_depth=1)
-        # The 24 x 24 grid runs one row at a time; the refinement's probes do not.
+        # The 24 x 24 grid runs one row at a time; the refinement runs each
+        # point with its probes.
         assert sum(row_layers) > 0
-        assert 24 * 24 < len(one_row) < 616
+        assert len(one_row) == 24 * 24
 
     def test_rejects_non_odd_regular(self):
         with pytest.raises(ValueError, match="odd-regular"):
