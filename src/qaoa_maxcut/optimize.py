@@ -6,13 +6,12 @@ when the package loads: code that only simulates, such as the `landscape`,
 `verify`, `gen`, `table` and `trace` commands, never loads scipy.
 
 The gradient is by central finite differences, 2 probes per coordinate, all
-counted in nfev. An objective may carry a `prefetch` attribute. Each
-L-BFGS-B request is a point and then the gradient there, so the objective
-call at a new point hands `prefetch` that point followed by its probes, and
-the gradient only reads values computed with them; a gradient at a point
-not handed over hands over its own probes. The objective is still called
-once per point and once per probe, in the same order, so the counts, the
-best point and the errors do not depend on `prefetch`.
+counted in nfev. Each L-BFGS-B request is the value and the gradient at
+one point, computed by one call. An objective may carry a `prefetch`
+attribute, which gets the point followed by its probes before the
+objective is called at any of them. The objective is still called once per
+point and once per probe, in the same order, so the counts, the best point
+and the errors do not depend on `prefetch`.
 """
 
 from __future__ import annotations
@@ -180,19 +179,11 @@ def _probes(
 
 
 def _fd_gradient(
-    fun: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    step: float,
-    prefetch: Callable[[np.ndarray], None] | None = None,
+    fun: Callable[[np.ndarray], float], order: list[int], rows: np.ndarray
 ) -> np.ndarray:
-    # `prefetch` gets every probe first, one per row in calling order, and
-    # may compute their values ahead; `fun` is still called once per probe.
-    order, rows = _probes(x, lower, upper, step)
-    if prefetch is not None:
-        prefetch(rows)
-    grad = np.empty_like(x)
+    """The central-difference gradient from the probes `_probes` returned,
+    calling `fun` once per probe in calling order."""
+    grad = np.empty(rows.shape[1])
     for k, xp, xm in zip(order, rows[::2], rows[1::2]):
         spread = xp[k] - xm[k]
         grad[k] = (fun(xp) - fun(xm)) / spread
@@ -218,8 +209,7 @@ def maximize_flat(
     outside it raises ValueError before `fun` is called. When `fun` has a
     `prefetch` attribute, each call of `fun` at a new point x is preceded by
     `fun.prefetch(rows)`, whose row 0 is x and whose other rows are x's
-    gradient probes, one flat point per row in calling order; a gradient at
-    a point not prefetched so first hands `fun.prefetch` its probes alone.
+    gradient probes, one flat point per row in calling order.
     """
     from scipy.optimize import minimize  # deferred: see the module docstring
 
@@ -243,25 +233,19 @@ def maximize_flat(
     counted = _CountedObjective(fun)
     prefetch = getattr(fun, "prefetch", None)
     step = config.gradient_step
-    # The bytes of the last point handed to `prefetch` with its probes.
-    ahead = b""
 
-    def neg(x: np.ndarray) -> float:
-        nonlocal ahead
+    def neg_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # With jac=True scipy asks for both at once, so one block serves them.
+        order, rows = _probes(x, lower, upper, step)
         if prefetch is not None:
-            # L-BFGS-B asks for the gradient at x next: one block serves both.
-            prefetch(np.concatenate(([x], _probes(x, lower, upper, step)[1])))
-            ahead = x.tobytes()
-        return -counted(x)
-
-    def neg_grad(x: np.ndarray) -> np.ndarray:
-        fetch = None if x.tobytes() == ahead else prefetch
-        return -_fd_gradient(counted, x, lower, upper, step, fetch)
+            prefetch(np.concatenate(([x], rows)))
+        value = counted(x)
+        return -value, -_fd_gradient(counted, order, rows)
 
     res = minimize(
-        neg,
+        neg_and_grad,
         x0,
-        jac=neg_grad,
+        jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lower, upper)),
         options={

@@ -148,7 +148,8 @@ def _progress(
             return evaluator.expectation(_stack(frozen, phi))
 
         def prefetch(angles: np.ndarray) -> None:
-            # The optimizer's gradient probes, (k, 2, p) rows of the layers it varies.
+            # A point and then its gradient probes, (1 + 4 per varied layer, 2, p)
+            # rows of the layers the optimizer varies, behind the frozen layers.
             if frozen is not None:
                 front = np.array((frozen.gammas, frozen.betas))
                 front = np.broadcast_to(front, (len(angles), *front.shape))

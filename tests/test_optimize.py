@@ -5,13 +5,11 @@ import pytest
 
 from qaoa_maxcut.graphs import Graph, GraphClass, gen_random_regular
 from qaoa_maxcut.optimize import (
-    DEFAULT_GRADIENT_STEP,
     GENERAL_BOUNDS,
     REGULAR_BOUNDS,
     Bounds,
     OptimizationError,
     OptimizerConfig,
-    _fd_gradient,
     bounds_for_graph,
     clamp,
     maximize_bounded,
@@ -262,18 +260,6 @@ class TestPrefetch:
         for i, block in enumerate(blocks):
             assert block.shape == (9, 4)
             assert np.array_equal(calls[9 * i : 9 * i + 9], block)
-
-    def test_a_gradient_at_a_point_not_prefetched_prefetches_its_probes(self):
-        calls, blocks = [], []
-
-        def fun(y):
-            calls.append(y.copy())
-            return -float(np.sum((y - 0.5) ** 2))
-
-        x, box = np.array([0.2, 0.4, 1.0]), (np.zeros(3), np.ones(3))
-        _fd_gradient(fun, x, *box, DEFAULT_GRADIENT_STEP, lambda rows: blocks.append(rows.copy()))
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0], np.array(calls))
 
     def test_one_block_per_request_at_ten_qubits(self, monkeypatch):
         # Each objective call at a new point advances the point with its

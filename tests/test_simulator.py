@@ -27,6 +27,7 @@ from qaoa_maxcut.optimize import (
     GENERAL_BOUNDS,
     Bounds,
     _fd_gradient,
+    _probes,
     maximize_bounded,
 )
 from qaoa_maxcut.simulator import (
@@ -77,7 +78,7 @@ def fd_gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) 
     x = phi.to_array()
     unbounded = np.full(x.size, np.inf)
     return _fd_gradient(
-        lambda y: ev.expectation(Parameters.from_array(y)), x, -unbounded, unbounded, step
+        lambda y: ev.expectation(Parameters.from_array(y)), *_probes(x, -unbounded, unbounded, step)
     )
 
 
@@ -556,7 +557,7 @@ class TestPrefixReuse:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
-        _fd_gradient(objective, x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)
+        _fd_gradient(objective, *_probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP))
         assert len(calls) == 2 * p * (p + 1)
 
     def test_a_call_that_raises_leaves_no_stale_prefix(self, monkeypatch):
@@ -583,9 +584,7 @@ class TestPrefixReuse:
 
 def probe_rows(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The optimizer's gradient probes at x, one per row, in calling order."""
-    rows = []
-    _fd_gradient(lambda y: rows.append(y.copy()) or 0.0, x, lower, upper, DEFAULT_GRADIENT_STEP)
-    return np.array(rows)
+    return _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1]
 
 
 class TestAdvanceProbes:
@@ -832,14 +831,8 @@ class TestAdvanceProbes:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
-        _fd_gradient(
-            objective,
-            x,
-            -unbounded,
-            unbounded,
-            DEFAULT_GRADIENT_STEP,
-            lambda probes: advance_probes(ev, probes.reshape(len(probes), 2, p)),
-        )
+        probes = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)[1]
+        advance_probes(ev, probes.reshape(len(probes), 2, p))
         assert sum(rows) == 2 * p * (p + 1)
         assert len(rows) == p
         assert one_row == []
@@ -1057,13 +1050,11 @@ class TestAdvanceProbes:
 import numpy as np
 from qaoa_maxcut import simulator
 from qaoa_maxcut.graphs import gen_erdos_renyi
-from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, GENERAL_BOUNDS, _fd_gradient
+from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, GENERAL_BOUNDS, _probes
 p = 3
 lower, upper = GENERAL_BOUNDS.box(p)
 x = np.random.default_rng(3).uniform(lower, upper)
-rows = []
-_fd_gradient(lambda y: rows.append(y.copy()) or 0.0, x, lower, upper, DEFAULT_GRADIENT_STEP)
-rows = np.array(rows).reshape(-1, 2, p)
+rows = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1].reshape(-1, 2, p)
 g = gen_erdos_renyi(15, 0.5, 2)
 for cpus in (2, 1):
     simulator._cpus = lambda: cpus
