@@ -11,26 +11,26 @@ therefore stores and updates only the low half, the 2^(n-1) amplitudes with
 vertex n-1 on side 0; the high half is the low half reversed. `prepare`
 returns the full 2^n state, mirrored from the half, in a new array.
 
-Every evaluation runs through the evaluator's one layer loop on a block of
-half states, one per row, with per-row angles. Each row resumes after the
-leading layers it shares bit for bit with the last call. A call of
-`expectation` or `prepare` is a block of one row, and stores its own prefix
-states. `advance_probes` computes every row of a stack of points ahead,
-such as a point followed by its finite-difference gradient probes, in
-blocks of at most about 1 MiB of states and scratch each: up to 64 rows at
-n = 10, one from n = 16. Its row 0 becomes the last call and stores its
-prefix states as the loop computes them; every other row resumes from
-them. The evaluator keeps the rows' values and `expectation` returns them.
-The mixer mixes each run of rows with a bit-equal angle as one flat row,
-by scalar coefficients; a block of several rows of two-lane size (below)
-takes per-row coefficient arrays.
+Every evaluation runs through one routine, the evaluator's `_advance`, on a
+stack of points, one row each: `expectation` and `prepare` hand it one row,
+and `advance_probes` a stack such as a point followed by its
+finite-difference gradient probes. Row 0 becomes the last call: it resumes
+after the leading layers it shares bit for bit with the last call, and its
+prefix states are stored as the loop computes them. Every other row
+resumes from them, and the rows run through the one layer loop in blocks
+of half states, one per row, with per-row angles, of at most about 1 MiB
+of states and scratch each: up to 64 rows at n = 10, one from n = 16. The
+evaluator keeps the values of an `advance_probes` stack, and `expectation`
+returns them. The mixer mixes each run of rows with a bit-equal angle as
+one flat row, by scalar coefficients; a block of several rows of two-lane
+size (below) takes per-row coefficient arrays.
 A row gets the same operations on the same bits whatever the block's size,
 so every value is bit-identical to a one-row call's.
 
 The loop computes in rows of one pair of working arrays, the states and a
 scratch, which serves in turn as the phase gather buffer, the mixer's
 scratch and the full probability vector. They hold one row (16 MiB together
-at n = 20) until the first `advance_probes` block grows them, so a warm
+at n = 20) until the first block of several rows grows them, so a warm
 evaluation allocates no state, apart from a prefix state stored anew.
 
 One helper thread serves two jobs, when the process may run on at least 2
@@ -39,8 +39,8 @@ high half through the whole layer: the phase gather and multiply, each
 mixer pass and the probability squares with their mirror image each run on
 both halves at once, the high half on the helper, so each thread works on
 the half it last wrote. The dot product of the probabilities with the cut
-table stays one call on the calling thread. At 13 <= n <= 17,
-`advance_probes` runs row 0 alone, then deals the other rows to two lanes,
+table stays one call on the calling thread. At 13 <= n <= 17, a stack of
+three rows or more runs row 0 alone, then deals the other rows to two lanes,
 each a range of rows of the same working arrays, and the helper runs lane
 1; a lane's rows are too small to split, so the helper never submits to
 itself. From n = 18 the rows run on one lane, one at a time, each split
@@ -334,20 +334,20 @@ class ExpectationEvaluator:
     Consecutive calls mostly share leading layers: each finite-difference
     probe moves one angle, and the layerwise strategy freezes every layer
     but the last. So the evaluator keeps the last call's angles and its
-    states after layers 1..p-1, and a call, or a row that `advance_probes`
-    computes ahead, resumes from the deepest layer whose (gamma_j, beta_j)
-    pairs, and all before it, are bit-equal to the last call's (a NaN angle
-    never matches). The last call is the last one `expectation` or
-    `prepare` computed, or row 0 of the last `advance_probes`. A resumed
-    state comes from the same kernel calls on the same bits, so every
-    result is bit-identical to a fresh evaluator's. States are held as their
-    low half (see the module docstring), so the stored ones cost up to
+    states after layers 1..p-1, and a point resumes from the deepest layer
+    whose (gamma_j, beta_j) pairs, and all before it, are bit-equal to the
+    last call's (a NaN angle never matches). The last call is row 0 of the
+    last stack `_advance` computed: the point `expectation` or `prepare`
+    last computed, or row 0 of the last `advance_probes`. A resumed state
+    comes from the same kernel calls on the same bits, so every result is
+    bit-identical to a fresh evaluator's. States are held as their low half
+    (see the module docstring), so the stored ones cost up to
     (p-1) * 2^(n-1) * 16 bytes at the deepest p seen, 56 MiB at n = 20,
     p = 8.
 
-    It also keeps the values that `advance_probes` last computed ahead,
-    keyed by the exact bits of their angles, and `expectation` returns one
-    of them when called at those angles. Calls read and write these and the
+    It also keeps the values that `advance_probes` last computed, keyed by
+    the exact bits of their angles, and `expectation` returns one of them
+    when called at those angles. Calls read and write these and the
     evaluator's working arrays (see the module docstring), so an evaluator
     must not be shared between threads.
     """
@@ -387,18 +387,66 @@ class ExpectationEvaluator:
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
         return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
 
-    def _grow(self, rows: int) -> None:
-        """Give the working arrays at least `rows` rows."""
-        if rows > len(self._states):
-            self._states = np.empty((rows, self._cut_index.size), dtype=complex)
+    def _advance(self, angles: np.ndarray) -> np.ndarray:
+        """The expectations at the (gammas, betas) arrays angles[r] of a
+        (k >= 1, 2, p) stack, in a new array; row 0 becomes the last call
+        (see the module docstring). The other rows run in order of the
+        layers they share with row 0. Should the loop raise, the stored
+        states are those of at most the layers row 0 shares with the last
+        call."""
+        row = self._cut_index.size
+        # Two lanes for two rows or more after row 0, where a row pays for the
+        # hand-off and is too small for the mixer to split: on the helper lane a
+        # split would wait on itself. The size tests come first, so they make no
+        # syscall.
+        small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 2
+        lanes = 2 if small and _cpus() >= 2 else 1
+        head = angles[0].copy()
+        k = int(self._shared_layers(head))
+        self._angles = head
+        shared = [k]
+        # A lone point skips an empty comparison, 6 of its 120 us at n = 10.
+        if len(angles) > 1:
+            shared += self._shared_layers(angles[1:]).tolist()
+        # The loop overwrites stored states from k on; should it raise, the next
+        # call must resume from at most the first k.
+        self._angles = head[:, : k + 1]
+        # A stable sort puts row 0 first among the rows that share k layers.
+        order = sorted(range(len(angles)), key=shared.__getitem__)
+        if lanes == 2:
+            # Row 0 first and alone: a lane must not read the states it stores.
+            order.remove(0)
+        # Lane l's blocks take the working arrays' rows from l * size on.
+        size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(order) // lanes)))
+        if lanes * size > len(self._states):
+            self._states = np.empty((lanes * size, row), dtype=complex)
             self._scratch = np.empty_like(self._states)
+        values = np.empty(len(angles))
+
+        def run(rows: list[int], offset: int) -> None:
+            for first in range(0, len(rows), size):
+                block = rows[first : first + size]
+                stored = block.index(0) if 0 in block else None
+                starts = [shared[r] for r in block]
+                states = self._layers(angles.take(block, axis=0), starts, stored, offset)
+                # One 1-D product per row: a matrix product rounds differently.
+                values.put(block, [self._value(state, offset) for state in states])
+
+        if lanes == 2:
+            run([0], 0)
+            _in_two(run, (order[0::2], 0), (order[1::2], size))
+        else:
+            run(order, 0)
+        self._angles = head
+        return values
 
     def _layers(
-        self, angles: np.ndarray, starts: list[int], stored: int | None, offset: int = 0
+        self, angles: np.ndarray, starts: list[int], stored: int | None, offset: int
     ) -> np.ndarray:
         """The low halves of the ansatz states at the (gammas, betas) arrays
         angles[r], as the working states' rows from row `offset` on, which
-        the next call on those rows overwrites; `_grow` has given them room.
+        the next call on those rows overwrites; `_advance` has given them
+        room.
         Row r resumes after its first starts[r] layers (sorted), shared with
         the last call; every later layer runs once on all rows started so
         far. Row `stored`, if any, is the new last call: its states after
@@ -432,24 +480,13 @@ class ExpectationEvaluator:
                 np.copyto(self._after[j], block[stored])
         return states
 
-    def _half(self, angles: np.ndarray) -> np.ndarray:
-        """The low half of the ansatz state at the (gammas, betas) rows
-        `angles`, in the evaluator's own array, which the next call
-        overwrites."""
-        k = int(self._shared_layers(angles))
-        # The loop overwrites stored states from k on; should it raise, the
-        # next call must resume from at most the first k.
-        self._angles = angles[:, : k + 1]
-        half = self._layers(angles[None], [k], 0)[0]
-        self._angles = angles
-        return half
-
     def prepare(self, phi: Parameters) -> np.ndarray:
         """|+>^n followed by p alternating (phase separator, mixer) layers.
 
         The returned full state is new on every call; the caller owns it.
         """
-        half = self._half(np.array((phi.gammas, phi.betas)))
+        self._advance(np.array((phi.gammas, phi.betas))[None])
+        half = self._states[0]
         return np.concatenate((half, half[::-1]))
 
     def expectation(self, phi: Parameters) -> float:
@@ -464,9 +501,9 @@ class ExpectationEvaluator:
             kept = self._kept.get(angles.tobytes())
             if kept is not None:
                 return kept
-        return self._value(self._half(angles))
+        return float(self._advance(angles[None])[0])
 
-    def _value(self, half: np.ndarray, offset: int = 0) -> float:
+    def _value(self, half: np.ndarray, offset: int) -> float:
         """The expectation of the state whose low half is `half`."""
         # The full probability vector, the low half then its reverse, in
         # scratch row `offset`, and summed in index order: 2 * (low half @
@@ -489,70 +526,21 @@ def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
 
     `angles` has shape (k, 2, p) with p >= 1: row r is the (gammas, betas)
     array of one point, such as a point followed by its finite-difference
-    gradient probes. Row 0 becomes the evaluator's last call, exactly as a
-    call of `expectation` would leave it: it resumes after the leading
-    layers it shares with the last call, and its states after layers
-    1..p-1 are stored as they are computed. Every other row resumes after
-    the layers it shares with row 0; the rows are sorted by that count and
-    run as blocks of the evaluator's layer loop, on one lane or two (see
-    the module docstring). On two lanes row 0 runs first and alone. Each
-    element gets the same operations as in a one-row call, so every value
-    is bit-identical to `expectation`'s. The values of all k rows replace
-    the evaluator's kept ones, and `expectation` returns one when called
-    with bit-equal angles. Should the loop raise, nothing is kept and the
-    stored states are those of at most the layers row 0 shares with the
-    last call. Input of any other shape raises ValueError and changes
-    nothing.
+    gradient probes. The stack runs through the evaluator's one evaluation
+    routine (see the module docstring), so row 0 becomes the evaluator's
+    last call, exactly as a call of `expectation` would leave it, and every
+    value is bit-identical to `expectation`'s. The values of all k rows
+    replace the evaluator's kept ones, and `expectation` returns one when
+    called with bit-equal angles. Should the loop raise, nothing is kept.
+    Input of any other shape raises ValueError and changes nothing.
     """
     angles = np.ascontiguousarray(angles, dtype=float)
     if angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
         raise ValueError(f"probe angles must have shape (k, 2, p >= 1), got {angles.shape}")
     evaluator._kept = {}
-    if not len(angles):
-        return
-    row = evaluator._cut_index.size
-    # Two lanes for two rows or more after row 0, where a row pays for the
-    # hand-off and is too small for the mixer to split: on the helper lane a
-    # split would wait on itself. The size tests come first, so they make no
-    # syscall.
-    small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 2
-    lanes = 2 if small and _cpus() >= 2 else 1
-    head = angles[0].copy()
-    k = int(evaluator._shared_layers(head))
-    evaluator._angles = head
-    shared = evaluator._shared_layers(angles)
-    shared[0] = k
-    # The loop overwrites stored states from k on; should it raise, the next
-    # call must resume from at most the first k.
-    evaluator._angles = head[:, : k + 1]
-    values = np.empty(len(angles))
-    if lanes == 2:
-        # Row 0 first and alone: a lane must not read the states it stores.
-        values[0] = evaluator._value(evaluator._layers(angles[:1], [k], 0)[0])
-        order, at = np.argsort(shared[1:], kind="stable") + 1, -1
-    else:
-        # A stable sort puts row 0 first among the rows that share k layers.
-        order, at = np.argsort(shared, kind="stable"), int(np.count_nonzero(shared < k))
-    # Lane l's blocks take the working arrays' rows from l * size on.
-    size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(order) // lanes)))
-    evaluator._grow(lanes * size)
-
-    def run(lane: int) -> None:
-        rows = order[lane::lanes]
-        for first in range(0, rows.size, size):
-            block = rows[first : first + size]
-            stored = at - first if first <= at < first + size else None
-            states = evaluator._layers(angles[block], shared[block].tolist(), stored, lane * size)
-            # One 1-D product per row, as in `expectation`: a matrix product
-            # rounds differently.
-            values[block] = [evaluator._value(state, lane * size) for state in states]
-
-    if lanes == 2:
-        _in_two(run, (0,), (1,))
-    else:
-        run(0)
-    evaluator._angles = head
-    evaluator._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
+    if len(angles):
+        values = evaluator._advance(angles)
+        evaluator._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

@@ -460,6 +460,14 @@ def _phi(layers) -> Parameters:
     return Parameters(gammas=tuple(g for g, _ in layers), betas=tuple(b for _, b in layers))
 
 
+def _coordinate(data, layers):
+    """`layers` with one angle drawn anew."""
+    j = data.draw(st.integers(0, len(layers) - 1))
+    pair = list(layers[j])
+    pair[data.draw(st.integers(0, 1))] = data.draw(_angle)
+    return layers[:j] + [tuple(pair)] + layers[j + 1 :]
+
+
 class TestPrefixReuse:
     """An evaluator resumes each call from the layers it shares with the last
     one; every result must equal a fresh evaluator's bit for bit."""
@@ -467,28 +475,43 @@ class TestPrefixReuse:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_call_sequences_match_a_fresh_evaluator(self, data):
+        # `expectation`, `prepare` and `advance_probes` interleaved, on one
+        # lane or two; a stack is the point and some of its coordinate moves.
         n = data.draw(st.integers(2, 6), label="n")
         g = gen_erdos_renyi(n, 0.6, data.draw(st.integers(0, 50), label="graph seed"))
         ev = ExpectationEvaluator(g)
         layers = data.draw(_layers(data.draw(st.integers(1, 5))), label="first call")
-        for _ in range(data.draw(st.integers(1, 12), label="calls")):
-            phi = _phi(layers)
-            assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
-            assert ev.prepare(phi).tobytes() == ExpectationEvaluator(g).prepare(phi).tobytes()
-            move = data.draw(
-                st.sampled_from(["coordinate", "repeat", "deeper", "shallower", "fresh"])
-            )
-            if move == "coordinate":
-                j = data.draw(st.integers(0, len(layers) - 1))
-                pair = list(layers[j])
-                pair[data.draw(st.integers(0, 1))] = data.draw(_angle)
-                layers = layers[:j] + [tuple(pair)] + layers[j + 1 :]
-            elif move == "deeper":
-                layers = layers + data.draw(_layers(1))
-            elif move == "shallower" and len(layers) > 1:
-                layers = layers[:-1]
-            elif move == "fresh":
-                layers = data.draw(_layers(data.draw(st.integers(1, 5))))
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans(), label="two lanes"):
+                patch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
+                patch.setattr(simulator, "_cpus", lambda: 2)
+            for _ in range(data.draw(st.integers(1, 12), label="calls")):
+                phi = _phi(layers)
+                call = data.draw(st.sampled_from(["expectation", "prepare", "advance_probes"]))
+                if call == "expectation":
+                    fresh = ExpectationEvaluator(g).expectation(phi)
+                    assert ev.expectation(phi).hex() == fresh.hex()
+                elif call == "prepare":
+                    fresh = ExpectationEvaluator(g).prepare(phi)
+                    assert ev.prepare(phi).tobytes() == fresh.tobytes()
+                else:
+                    probes = data.draw(st.integers(0, 6), label="rows after the point")
+                    rows = [layers] + [_coordinate(data, layers) for _ in range(probes)]
+                    advance_probes(ev, np.array(rows).transpose(0, 2, 1))
+                    for row in map(_phi, rows):
+                        fresh = ExpectationEvaluator(g).expectation(row)
+                        assert ev.expectation(row).hex() == fresh.hex()
+                move = data.draw(
+                    st.sampled_from(["coordinate", "repeat", "deeper", "shallower", "fresh"])
+                )
+                if move == "coordinate":
+                    layers = _coordinate(data, layers)
+                elif move == "deeper":
+                    layers = layers + data.draw(_layers(1))
+                elif move == "shallower" and len(layers) > 1:
+                    layers = layers[:-1]
+                elif move == "fresh":
+                    layers = data.draw(_layers(data.draw(st.integers(1, 5))))
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
     def test_signed_zero_prefix_is_not_confused(self, zero):
