@@ -92,6 +92,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_landscape(args: argparse.Namespace) -> int:
     _check_out_file(args.out)
     if args.edges is not None:
+        generator = ("kind", "n", "degree", "prob", "seed")
+        stray = [f"--{f}" for f in generator if getattr(args, f) is not None]
+        if stray:
+            raise ConfigError(f"--edges takes no generator flags, got {' '.join(stray)}")
         g = read_edge_list(args.edges)
     else:
         if args.kind is None or args.n is None:

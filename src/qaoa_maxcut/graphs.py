@@ -61,6 +61,8 @@ class Graph:
         canonical = []
         seen = set()
         for j, k in self.edges:
+            _require_count("edge endpoint", j, 0)
+            _require_count("edge endpoint", k, 0)
             if j == k:
                 raise ValueError(f"self-loop at vertex {j}")
             if not (0 <= j < self.n and 0 <= k < self.n):

@@ -107,8 +107,8 @@ def linear_ramp_init(p: int, delta_t: float) -> Parameters:
     """Discretized-annealing start: gamma_j = (j/p)*dt ramps up,
     beta_j = (1 - j/p)*dt ramps down, j = 1..p."""
     _require_count("depth", p, 1)
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     gammas = tuple(j / p * delta_t for j in range(1, p + 1))
     betas = tuple((1.0 - j / p) * delta_t for j in range(1, p + 1))
     return Parameters(gammas=gammas, betas=betas)

@@ -174,6 +174,18 @@ class TestLandscape:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1 + 9
 
+    def test_edge_file_with_generator_flags_fails(self, config_path, tmp_path, capsys):
+        instances = tmp_path / "instances"
+        run_cli("gen", "--config", config_path, "--out", instances)
+        capsys.readouterr()
+        out = tmp_path / "grid.csv"
+        assert run_cli(
+            "landscape", "--edges", instances / "reg1-n2-s0.edges", "--kind", "regular",
+            "--n", 12, "--degree", 5, "--seed", 3, "--out", out,
+        ) == 1
+        assert_one_error_line(capsys, "--edges takes no generator flags", "--kind --n --degree --seed")
+        assert not out.exists()
+
     def test_missing_graph_source_fails(self, capsys):
         assert run_cli("landscape", "--resolution", 3) == 1
         assert "error:" in capsys.readouterr().err

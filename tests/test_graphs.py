@@ -53,6 +53,23 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph(n=3, edges=((0, 3),))
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(0.5, 1), (0, 1.0), (0, True), (np.float64(2.0), 0)],
+        ids=["half", "float", "bool", "numpy-float"],
+    )
+    def test_rejects_non_integer_endpoints(self, edge):
+        # An integral float or a bool would write an edge-list file that
+        # read_edge_list refuses.
+        with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+            Graph(n=3, edges=(edge,))
+
+    def test_accepts_numpy_integer_endpoints(self, tmp_path):
+        g = Graph(n=3, edges=((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
+        assert g.edges == ((0, 2), (1, 2))
+        write_edge_list(g, tmp_path / "g.edges")
+        assert read_edge_list(tmp_path / "g.edges") == g
+
     def test_edges_canonicalized(self):
         g = Graph(n=3, edges=((2, 0), (1, 0)))
         assert g.edges == ((0, 1), (0, 2))

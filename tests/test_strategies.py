@@ -126,6 +126,9 @@ class TestLinearRampInit:
             linear_ramp_init(0, 0.5)
         with pytest.raises(ValueError):
             linear_ramp_init(2, -0.1)
+        for delta_t in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                linear_ramp_init(3, delta_t)
 
 
 class TestBaseExhaustion:
