@@ -183,7 +183,9 @@ class TestLandscape:
             "landscape", "--edges", instances / "reg1-n2-s0.edges", "--kind", "regular",
             "--n", 12, "--degree", 5, "--seed", 3, "--out", out,
         ) == 1
-        assert_one_error_line(capsys, "--edges takes no generator flags", "--kind --n --degree --seed")
+        assert_one_error_line(
+            capsys, "--edges takes no generator flags", "--kind --n --degree --seed"
+        )
         assert not out.exists()
 
     def test_missing_graph_source_fails(self, capsys):

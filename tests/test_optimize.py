@@ -211,7 +211,7 @@ class TestPrefetch:
         phi0 = Parameters(gammas=(0.3, 0.5, 0.2), betas=(0.4, 0.1, 0.3))
         layers, poisoned = ExpectationEvaluator._layers, []
 
-        def poisoning(evaluator, angles, starts, stored, offset=0):
+        def poisoning(evaluator, angles, starts, stored, offset):
             states = layers(evaluator, angles, starts, stored, offset)
             if not poisoned:  # the start's block, on a probe of its middle layer
                 r = starts.index(1)
