@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graphs import Graph, _check_regular, _require_count, classify, gen_erdos_renyi, gen_random_regular
+from .graphs import Graph, _check_prob, _check_regular, _require_count, classify, gen_erdos_renyi, gen_random_regular
 from .optimize import Bounds, OptimizerConfig, bounds_for_graph
 from .simulator import MAX_QUBITS, ExpectationEvaluator, Parameters
 from .strategies import STRATEGIES, DepthRecord, StrategyConfig
@@ -111,6 +111,8 @@ class InstanceSpec:
         try:
             _require_count("n", self.n, 1)
             _require_count("seed", self.seed, 0)
+            if self.kind == "erdos_renyi" and self.prob is not None:
+                _check_prob(self.prob)
         except ValueError as exc:
             raise ConfigError(f"{self}: {exc}") from None
         if self.kind == "regular":

@@ -128,13 +128,18 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
 
 
+def _check_prob(prob: float) -> None:
+    """Raise ValueError naming `prob` unless it is a number in [0, 1], not a bool."""
+    if isinstance(prob, bool) or not 0.0 <= prob <= 1.0:
+        raise ValueError(f"prob must be a number in [0, 1], got {prob!r}")
+
+
 def gen_erdos_renyi(n: int, prob: float, seed: int) -> Graph:
     """Sample G(n, prob): each pair (u, v), u < v in lexicographic order, is an
     edge independently with probability `prob`. Deterministic for a fixed seed."""
     _require_count("seed", seed, 0)
     _require_count("n", n, 1)
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {prob}")
+    _check_prob(prob)
     rng = np.random.default_rng(seed)
     edges = []
     for u in range(n):

@@ -1,9 +1,10 @@
 """Executable checks for the symmetry and periodicity identities of the
 Max-Cut expectation landscape, plus the non-adiabatic branch harness.
 
-Each check evaluates |F(phi) - F(transform(phi))| with the evaluator of a
-concrete graph; the identities are exact, so any deviation beyond
-accumulated roundoff indicates a simulator or transform bug.
+Each check states only its images of phi; one comparison returns the largest
+|F(phi) - F(image)| from the evaluator of a concrete graph. The identities
+are exact, so any deviation beyond roundoff indicates a simulator or
+transform bug.
 """
 
 from __future__ import annotations
@@ -49,16 +50,32 @@ class SymmetryReport:
     samples: int
 
 
-def _pair(ev: ExpectationEvaluator, phi: Parameters, phi2: Parameters) -> float:
-    return abs(ev.expectation(phi) - ev.expectation(phi2))
+def _deviation(ev: ExpectationEvaluator, phi: Parameters, *images) -> float:
+    """max |F(phi) - F(image)| over `images`, each a (gammas, betas) pair of
+    sequences; F(phi) is evaluated first, then each image in order."""
+    f = ev.expectation(phi)
+    return max(abs(f - ev.expectation(Parameters(gammas=g, betas=b))) for g, b in images)
+
+
+def _point_image(phi: Parameters, center: float) -> tuple[list[float], list[float]]:
+    """(center - gamma, pi/2 - beta), element-wise."""
+    return [center - x for x in phi.gammas], [math.pi / 2.0 - x for x in phi.betas]
+
+
+def _shifted(angles: tuple[float, ...], shift: Sequence[int], period: float, name: str) -> list[float]:
+    """`angles` with each index in `shift`, a count below p, moved by `period`."""
+    out = list(angles)
+    for j in shift:
+        _require_count(f"{name} index", j, 0)
+        if j >= len(out):
+            raise ValueError(f"{name} index must be < p = {len(out)}, got {j}")
+        out[j] += period
+    return out
 
 
 def check_angle_reversal(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(-gamma, -beta)|; zero for any graph."""
-    negated = Parameters(
-        gammas=tuple(-x for x in phi.gammas), betas=tuple(-x for x in phi.betas)
-    )
-    return _pair(ev, phi, negated)
+    return _deviation(ev, phi, ([-x for x in phi.gammas], [-x for x in phi.betas]))
 
 
 def check_periodicity(
@@ -68,23 +85,16 @@ def check_periodicity(
     beta_shift: Sequence[int] = (),
 ) -> float:
     """Shift selected angles by their periods (2*pi per gamma, pi/2 per beta)
-    and compare. Indices are 0-based; any subset of either kind may shift."""
-    gammas = list(phi.gammas)
-    betas = list(phi.betas)
-    for j in gamma_shift:
-        gammas[j] += 2.0 * math.pi
-    for j in beta_shift:
-        betas[j] += math.pi / 2.0
-    return _pair(ev, phi, Parameters(gammas=tuple(gammas), betas=tuple(betas)))
+    and compare. Indices are 0-based; any subset of either kind may shift.
+    An index that is not an integer in [0, p) is a ValueError naming it."""
+    gammas = _shifted(phi.gammas, gamma_shift, 2.0 * math.pi, "gamma_shift")
+    betas = _shifted(phi.betas, beta_shift, math.pi / 2.0, "beta_shift")
+    return _deviation(ev, phi, (gammas, betas))
 
 
 def check_general_point_symmetry(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(2*pi - gamma, pi/2 - beta)|, element-wise transform."""
-    mapped = Parameters(
-        gammas=tuple(2.0 * math.pi - x for x in phi.gammas),
-        betas=tuple(math.pi / 2.0 - x for x in phi.betas),
-    )
-    return _pair(ev, phi, mapped)
+    return _deviation(ev, phi, _point_image(phi, 2.0 * math.pi))
 
 
 def check_even_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
@@ -92,43 +102,27 @@ def check_even_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
     (pi - gamma, pi/2 - beta); returns the larger of the two deviations."""
     if classify(ev.graph) is not GraphClass.EVEN_REGULAR:
         raise ValueError("graph is not even-regular")
-    shifted = Parameters(
-        gammas=tuple(x + math.pi for x in phi.gammas), betas=phi.betas
-    )
-    mirrored = Parameters(
-        gammas=tuple(math.pi - x for x in phi.gammas),
-        betas=tuple(math.pi / 2.0 - x for x in phi.betas),
-    )
-    f = ev.expectation(phi)
-    return max(abs(f - ev.expectation(shifted)), abs(f - ev.expectation(mirrored)))
+    shifted = ([x + math.pi for x in phi.gammas], phi.betas)
+    return _deviation(ev, phi, shifted, _point_image(phi, math.pi))
 
 
 def tilde_beta(betas: Sequence[float]) -> tuple[float, ...]:
     """Leave odd-indexed betas (1-based: beta_1, beta_3, ...) unchanged and map
     even-indexed ones to pi/2 - beta. Applying it twice is the identity."""
-    return tuple(
-        b if i % 2 == 0 else math.pi / 2.0 - b for i, b in enumerate(betas)
-    )
+    return tuple(b if i % 2 == 0 else math.pi / 2.0 - b for i, b in enumerate(betas))
 
 
 def check_odd_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(pi - gamma, tilde(beta))| for odd-regular graphs."""
     if classify(ev.graph) is not GraphClass.ODD_REGULAR:
         raise ValueError("graph is not odd-regular")
-    mapped = Parameters(
-        gammas=tuple(math.pi - x for x in phi.gammas),
-        betas=tilde_beta(phi.betas),
-    )
-    return _pair(ev, phi, mapped)
+    return _deviation(ev, phi, ([math.pi - x for x in phi.gammas], tilde_beta(phi.betas)))
 
 
 def _random_phi(rng: np.random.Generator, p: int) -> Parameters:
     # Full-period draws, wider than any optimization box: the identities are
     # global, so the checks should not be confined to the search bounds.
-    return Parameters(
-        gammas=tuple(rng.uniform(0.0, 2.0 * math.pi, p)),
-        betas=tuple(rng.uniform(0.0, math.pi, p)),
-    )
+    return Parameters(gammas=rng.uniform(0.0, 2.0 * math.pi, p), betas=rng.uniform(0.0, math.pi, p))
 
 
 def _suite_graphs(rng: np.random.Generator) -> dict[str, list[Graph]]:
@@ -174,9 +168,7 @@ def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> lis
         return SymmetryReport(transform=name, max_abs_deviation=worst, samples=samples)
 
     def periodicity_full(ev: ExpectationEvaluator, phi: Parameters) -> float:
-        return check_periodicity(
-            ev, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p)
-        )
+        return check_periodicity(ev, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p))
 
     def periodicity_masked(ev: ExpectationEvaluator, phi: Parameters) -> float:
         mask_g = [j for j in range(phi.p) if rng.random() < 0.5]

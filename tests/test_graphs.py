@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,12 @@ class TestErdosRenyi:
     def test_prob_out_of_range(self):
         with pytest.raises(ValueError):
             gen_erdos_renyi(5, 1.5, 0)
+
+    @pytest.mark.parametrize("prob", [-0.5, math.nan, True, False], ids=["below", "nan", "true", "false"])
+    def test_prob_is_a_number_in_the_unit_interval(self, prob):
+        # A bool is refused as counts refuse it: True would sample the complete graph.
+        with pytest.raises(ValueError, match=r"prob must be a number in \[0, 1\], got"):
+            gen_erdos_renyi(5, prob, 0)
 
     def test_matches_replayed_bit_stream(self):
         n, prob, seed = 10, 0.7, 3

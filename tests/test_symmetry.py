@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,10 @@ from qaoa_maxcut.symmetry import (
     run_symmetry_suite,
     tilde_beta,
 )
+
+# sha256 of the suite's reports at seeds 0, 11 and 42 (samples 100, max_p 4),
+# recorded before the checks shared one comparison.
+SUITE_DIGEST = "fdfa3fb6e4bff23d99ebe0f8d39c3e9ab61fa77edbd32a58368d88ce3c6119ac"
 
 K3 = Graph(n=3, edges=((0, 1), (1, 2), (0, 2)))
 K4 = Graph(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -76,6 +81,24 @@ class TestPeriodicity:
             assert (
                 check_periodicity(ev, phi, gamma_shift=[0, 2], beta_shift=[0, 1]) <= 1e-9
             )
+
+    @pytest.mark.parametrize(
+        "shifts, message",
+        [
+            ({"gamma_shift": [5]}, "gamma_shift index must be < p = 2, got 5"),
+            ({"gamma_shift": [0, -1]}, "gamma_shift index must be >= 0, got -1"),
+            ({"beta_shift": [True]}, "beta_shift index must be an integer, got True"),
+        ],
+        ids=["past-depth", "negative", "bool"],
+    )
+    def test_bad_shift_index_rejected_before_any_evaluation(self, shifts, message):
+        class NoEvaluation:
+            def expectation(self, phi):
+                raise AssertionError("evaluated before the shift indices were checked")
+
+        phi = Parameters(gammas=(0.1, 0.2), betas=(0.3, 0.4))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_periodicity(NoEvaluation(), phi, **shifts)
 
 
 class TestGeneralPointSymmetry:
@@ -188,6 +211,16 @@ class TestSuite:
         for r in reports:
             assert r.samples == 25
             assert r.max_abs_deviation <= DEVIATION_TOLERANCE
+
+    def test_suite_digest_is_unchanged(self):
+        """A regression pin, not an oracle: recorded from the code itself under
+        one BLAS thread, so it shows that a change moved some report's bits,
+        not which bits are right."""
+        h = hashlib.sha256()
+        for seed in (0, 11, 42):
+            for r in run_symmetry_suite(samples=100, seed=seed, max_p=4):
+                h.update(f"{r.transform}:{r.max_abs_deviation.hex()}:{r.samples};".encode())
+        assert h.hexdigest() == SUITE_DIGEST
 
     def test_default_pool_sizes(self):
         pools = symmetry_module._suite_graphs(np.random.default_rng(0))
