@@ -146,12 +146,9 @@ class InstanceSpec:
         return f"er{self.prob:g}-n{self.n}-s{self.seed}"
 
     def build(self) -> Graph:
-        try:
-            if self.kind == "regular":
-                return gen_random_regular(self.n, self.degree, self.seed)
-            return gen_erdos_renyi(self.n, self.prob, self.seed)
-        except ValueError as exc:
-            raise ConfigError(f"instance {self.instance_id} is unsatisfiable: {exc}") from None
+        if self.kind == "regular":
+            return gen_random_regular(self.n, self.degree, self.seed)
+        return gen_erdos_renyi(self.n, self.prob, self.seed)
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}

@@ -130,7 +130,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
 
 def _check_prob(prob: float) -> None:
     """Raise ValueError naming `prob` unless it is a number in [0, 1], not a bool."""
-    if isinstance(prob, bool) or not 0.0 <= prob <= 1.0:
+    if isinstance(prob, bool) or not isinstance(prob, numbers.Real) or not 0.0 <= prob <= 1.0:
         raise ValueError(f"prob must be a number in [0, 1], got {prob!r}")
 
 

@@ -62,17 +62,6 @@ def _point_image(phi: Parameters, center: float) -> tuple[list[float], list[floa
     return [center - x for x in phi.gammas], [math.pi / 2.0 - x for x in phi.betas]
 
 
-def _shifted(angles: tuple[float, ...], shift: Sequence[int], period: float, name: str) -> list[float]:
-    """`angles` with each index in `shift`, a count below p, moved by `period`."""
-    out = list(angles)
-    for j in shift:
-        _require_count(f"{name} index", j, 0)
-        if j >= len(out):
-            raise ValueError(f"{name} index must be < p = {len(out)}, got {j}")
-        out[j] += period
-    return out
-
-
 def check_angle_reversal(ev: ExpectationEvaluator, phi: Parameters) -> float:
     """|F(gamma, beta) - F(-gamma, -beta)|; zero for any graph."""
     return _deviation(ev, phi, ([-x for x in phi.gammas], [-x for x in phi.betas]))
@@ -87,8 +76,16 @@ def check_periodicity(
     """Shift selected angles by their periods (2*pi per gamma, pi/2 per beta)
     and compare. Indices are 0-based; any subset of either kind may shift.
     An index that is not an integer in [0, p) is a ValueError naming it."""
-    gammas = _shifted(phi.gammas, gamma_shift, 2.0 * math.pi, "gamma_shift")
-    betas = _shifted(phi.betas, beta_shift, math.pi / 2.0, "beta_shift")
+    gammas, betas = list(phi.gammas), list(phi.betas)
+    for name, shift, angles, period in (
+        ("gamma_shift", gamma_shift, gammas, 2.0 * math.pi),
+        ("beta_shift", beta_shift, betas, math.pi / 2.0),
+    ):
+        for j in shift:
+            _require_count(f"{name} index", j, 0)
+            if j >= phi.p:
+                raise ValueError(f"{name} index must be < p = {phi.p}, got {j}")
+            angles[j] += period
     return _deviation(ev, phi, (gammas, betas))
 
 
@@ -109,7 +106,9 @@ def check_even_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
 def tilde_beta(betas: Sequence[float]) -> tuple[float, ...]:
     """Leave odd-indexed betas (1-based: beta_1, beta_3, ...) unchanged and map
     even-indexed ones to pi/2 - beta. Applying it twice is the identity."""
-    return tuple(b if i % 2 == 0 else math.pi / 2.0 - b for i, b in enumerate(betas))
+    return tuple(
+        b if i % 2 == 0 else math.pi / 2.0 - b for i, b in enumerate(betas)
+    )
 
 
 def check_odd_regular(ev: ExpectationEvaluator, phi: Parameters) -> float:
@@ -168,7 +167,9 @@ def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> lis
         return SymmetryReport(transform=name, max_abs_deviation=worst, samples=samples)
 
     def periodicity_full(ev: ExpectationEvaluator, phi: Parameters) -> float:
-        return check_periodicity(ev, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p))
+        return check_periodicity(
+            ev, phi, gamma_shift=range(phi.p), beta_shift=range(phi.p)
+        )
 
     def periodicity_masked(ev: ExpectationEvaluator, phi: Parameters) -> float:
         mask_g = [j for j in range(phi.p) if rng.random() < 0.5]

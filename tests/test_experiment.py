@@ -159,7 +159,9 @@ class TestInstanceSpec:
         spec = InstanceSpec(kind="regular", n=n, degree=degree, seed=0)
         assert spec.build().degrees() == [degree] * n
 
-    @pytest.mark.parametrize("prob", [1.5, -0.1, math.nan, True], ids=["above", "below", "nan", "bool"])
+    @pytest.mark.parametrize(
+        "prob", [1.5, -0.1, math.nan, True, "0.5"], ids=["above", "below", "nan", "bool", "string"]
+    )
     def test_bad_prob_rejected_at_load(self, prob):
         with pytest.raises(ConfigError, match=r"prob must be a number in \[0, 1\]"):
             InstanceSpec(kind="erdos_renyi", n=4, seed=0, prob=prob)

@@ -121,7 +121,9 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             gen_erdos_renyi(5, 1.5, 0)
 
-    @pytest.mark.parametrize("prob", [-0.5, math.nan, True, False], ids=["below", "nan", "true", "false"])
+    @pytest.mark.parametrize(
+        "prob", [-0.5, math.nan, True, False, "0.5"], ids=["below", "nan", "true", "false", "string"]
+    )
     def test_prob_is_a_number_in_the_unit_interval(self, prob):
         # A bool is refused as counts refuse it: True would sample the complete graph.
         with pytest.raises(ValueError, match=r"prob must be a number in \[0, 1\], got"):
