@@ -52,9 +52,16 @@ class SymmetryReport:
 
 def _deviation(ev: ExpectationEvaluator, phi: Parameters, *images) -> float:
     """max |F(phi) - F(image)| over `images`, each a (gammas, betas) pair of
-    sequences; F(phi) is evaluated first, then each image in order."""
+    sequences; F(phi) is evaluated first, then each image in order. A NaN
+    deviation makes the result NaN."""
     f = ev.expectation(phi)
-    return max(abs(f - ev.expectation(Parameters(gammas=g, betas=b))) for g, b in images)
+    return _largest([abs(f - ev.expectation(Parameters(gammas=g, betas=b))) for g, b in images])
+
+
+def _largest(deviations: list[float]) -> float:
+    # np.max, not max: Python's max keeps its first argument when the
+    # comparison with a NaN is false, so it would drop a NaN deviation.
+    return float(np.max(deviations))
 
 
 def _point_image(phi: Parameters, center: float) -> tuple[list[float], list[float]]:
@@ -148,7 +155,7 @@ def _suite_graphs(rng: np.random.Generator) -> dict[str, list[Graph]]:
 
 def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> list[SymmetryReport]:
     """Run every check over `samples` random (graph, phi, p) draws each and
-    report the worst deviation per transform."""
+    report the worst deviation per transform, NaN if any deviation is NaN."""
     _require_count("samples", samples, 1)
     _require_count("seed", seed, 0)
     _require_count("max_p", max_p, 1)
@@ -159,11 +166,12 @@ def run_symmetry_suite(samples: int = 100, seed: int = 0, max_p: int = 3) -> lis
     }
 
     def sweep(name: str, pool: list[ExpectationEvaluator], fn) -> SymmetryReport:
-        worst = 0.0
+        deviations = []
         for _ in range(samples):
             ev = pool[rng.integers(len(pool))]
             phi = _random_phi(rng, int(rng.integers(1, max_p + 1)))
-            worst = max(worst, fn(ev, phi))
+            deviations.append(fn(ev, phi))
+        worst = _largest(deviations)
         return SymmetryReport(transform=name, max_abs_deviation=worst, samples=samples)
 
     def periodicity_full(ev: ExpectationEvaluator, phi: Parameters) -> float:

@@ -1321,6 +1321,47 @@ class TestSplitMixer:
         assert threading.active_count() == threads
 
 
+class TestTiledMixer:
+    """A row longer than a tile, from n = 17, runs the passes on the low
+    qubits one tile at a time; every amplitude must get the bits of the
+    passes over the whole row."""
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tiles_match_whole_row_passes_bit_for_bit(self, n, cpus, monkeypatch):
+        rng = np.random.default_rng(n)
+        size = 1 << (n - 1)
+        start = rng.normal(size=size) + 1j * rng.normal(size=size)
+        monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+        one_pass, sizes = simulator._pass, []
+
+        def recorded(view, swapped, c, s):
+            sizes.append(view.size)
+            one_pass(view, swapped, c, s)
+
+        for beta in (0.3, -1.7, 0.0, -0.0):
+            # One pass per qubit over the whole row, then qubit n-1 from the
+            # row reversed, as the mixer's docstring states it.
+            c, s = math.cos(beta), -1j * math.sin(beta)
+            expected, work = start.copy(), np.empty_like(start)
+            for q in range(n - 1):
+                shape = (1, -1, 2, 1 << q)
+                one_pass(expected.reshape(shape), work.reshape(shape), c, s)
+            np.multiply(expected[::-1], s, out=work)
+            expected *= c
+            expected += work
+            block = start.copy()[None]
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_pass", recorded)
+                _mixer_kernel(block, [beta], n, np.empty_like(block))
+            assert block.tobytes() == expected.tobytes()
+        # Each tile got the passes of qubits 0..14, and every other pass ran
+        # on a whole row or half.
+        tile = 1 << simulator._TILE_QUBITS
+        assert sizes.count(tile) == 4 * (size // tile) * simulator._TILE_QUBITS
+        assert min(x for x in sizes if x != tile) > tile
+
+
 class TestWorkArrays:
     """A warm evaluator computes into its own working states and scratch,
     for one point or a block of probes, and `prepare` hands out a new
@@ -1421,6 +1462,21 @@ class TestWorkArrays:
         for y in rows:
             phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
             assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
+
+    def test_prepare_computes_no_value(self, path, monkeypatch):
+        g = gen_random_regular(16, 3, 2)
+        x = random_phi(np.random.default_rng(71), 3)
+        nudged = Parameters(gammas=x.gammas, betas=x.betas[:-1] + (0.4,))
+        calls = [x, x, nudged, ZERO, x]
+        fresh = [ExpectationEvaluator(g).prepare(phi).tobytes() for phi in calls]
+        ev, values = ExpectationEvaluator(g), []
+        with monkeypatch.context() as patch:
+            patch.setattr(ExpectationEvaluator, "_value", lambda *args: values.append(args))
+            assert [ev.prepare(phi).tobytes() for phi in calls] == fresh
+        assert values == []
+        # The states stored along the way are those an expectation stores.
+        value = ev.expectation(nudged)
+        assert value.hex() == ExpectationEvaluator(g).expectation(nudged).hex()
 
     def test_writing_into_a_prepared_state_changes_no_later_value(self, path):
         g = gen_random_regular(16, 3, 2)

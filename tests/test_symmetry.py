@@ -24,6 +24,11 @@ from qaoa_maxcut.symmetry import (
 # recorded before the checks shared one comparison.
 SUITE_DIGEST = "fdfa3fb6e4bff23d99ebe0f8d39c3e9ab61fa77edbd32a58368d88ce3c6119ac"
 
+# sha256 of the suite's `expectation` arguments (n, p and the float.hex of
+# every angle) in calling order at the same seeds, recorded before a NaN
+# deviation was kept.
+SUITE_ARGUMENTS_DIGEST = "23606aeee696aa92399c673c84f48dafe882dfeb6b45a1adb71bb033d66da9a0"
+
 K3 = Graph(n=3, edges=((0, 1), (1, 2), (0, 2)))
 K4 = Graph(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 EV3 = ExpectationEvaluator(K3)
@@ -221,6 +226,47 @@ class TestSuite:
             for r in run_symmetry_suite(samples=100, seed=seed, max_p=4):
                 h.update(f"{r.transform}:{r.max_abs_deviation.hex()}:{r.samples};".encode())
         assert h.hexdigest() == SUITE_DIGEST
+
+    def test_suite_arguments_digest_is_unchanged(self, monkeypatch):
+        """A regression pin on the order and the bits of every angle the
+        suite evaluates, which the report digest misses: a one-ulp change to
+        an image rarely moves the largest deviation."""
+        expectation, h = ExpectationEvaluator.expectation, hashlib.sha256()
+
+        def recorded(ev, phi):
+            angles = ",".join(x.hex() for x in phi.gammas + phi.betas)
+            h.update(f"{ev.graph.n}:{phi.p}:{angles};".encode())
+            return expectation(ev, phi)
+
+        monkeypatch.setattr(ExpectationEvaluator, "expectation", recorded)
+        for seed in (0, 11, 42):
+            run_symmetry_suite(samples=100, seed=seed, max_p=4)
+        assert h.hexdigest() == SUITE_ARGUMENTS_DIGEST
+
+    def test_a_nan_deviation_is_reported(self, monkeypatch):
+        value, calls = ExpectationEvaluator._value, []
+
+        def every_second_nan(ev, half, offset):
+            calls.append(None)
+            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+
+        monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
+        reports = run_symmetry_suite(samples=10, seed=0)
+        assert len(reports) == 6
+        assert all(math.isnan(r.max_abs_deviation) for r in reports)
+
+    def test_a_nan_second_image_is_kept(self, monkeypatch):
+        # F(phi) and the pi-shifted image are numbers, the point image NaN.
+        value, calls = ExpectationEvaluator._value, []
+
+        def third_nan(ev, half, offset):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else value(ev, half, offset)
+
+        monkeypatch.setattr(ExpectationEvaluator, "_value", third_nan)
+        phi = random_phi(np.random.default_rng(5), 2)
+        assert math.isnan(check_even_regular(ExpectationEvaluator(K3), phi))
+        assert len(calls) == 3
 
     def test_default_pool_sizes(self):
         pools = symmetry_module._suite_graphs(np.random.default_rng(0))
