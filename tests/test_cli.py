@@ -217,6 +217,19 @@ class TestVerify:
         rs = ResultSet.load(out)
         assert len(rs.symmetry_reports) == 6
 
+    def test_a_nan_deviation_fails(self, monkeypatch, capsys):
+        from qaoa_maxcut.simulator import ExpectationEvaluator
+
+        value, calls = ExpectationEvaluator._value, []
+
+        def every_second_nan(ev, half, offset):
+            calls.append(None)
+            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+
+        monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
+        assert run_cli("verify", "--samples", 3) == 1
+        assert capsys.readouterr().out.count("max deviation nan") == 6
+
 
 def assert_one_error_line(capsys, *fragments):
     err = capsys.readouterr().err

@@ -141,39 +141,41 @@ def _compare(pairs: list[tuple[dict, dict]], metric: str) -> dict | None:
     }
 
 
+def _identity(runs: list[dict]) -> dict:
+    """The distinct sha256 of each output file over `runs`."""
+    seen = {}
+    for run in runs:
+        for name, digest in run.get("outputs", {}).items():
+            seen.setdefault(name, set()).add(digest)
+    return {name: sorted(digests) for name, digests in seen.items()}
+
+
 def _summary(runs: list[dict]) -> list[dict]:
     series = {}
     for run in runs:
-        series.setdefault((run["workload"], run["seed"]), {}).setdefault(run["pair"], {})[
-            run["side"]
-        ] = run
+        pair = series.setdefault((run["workload"], run["seed"]), {}).setdefault(run["pair"], {})
+        pair[run["side"]] = run
     summary = []
     for (workload, seed), by_pair in series.items():
         pairs = [(p["parent"], p["change"]) for p in by_pair.values() if len(p) == 2]
         metrics = {m: _compare(pairs, m) for m in METRICS}
         sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
+        operations = {
+            side: {
+                "attempted": sum(r.get("report", {}).get("attempted", 0) for r in rs),
+                "failed": sum(r.get("report", {}).get("failed", 0) for r in rs),
+                "runs_failed": sum(r["rc"] != 0 for r in rs),
+            }
+            for side, rs in sides.items()
+        }
         summary.append(
             {
                 "workload": workload,
                 "seed": seed,
                 "pairs": len(pairs),
                 "metrics": {m: v for m, v in metrics.items() if v is not None},
-                "operations": {
-                    side: {
-                        key: sum(r.get("report", {}).get(key, 0) for r in rs)
-                        for key in ("attempted", "failed")
-                    }
-                    | {"runs_failed": sum(r["rc"] != 0 for r in rs)}
-                    for side, rs in sides.items()
-                },
-                "identity": {
-                    side: {
-                        name: sorted({r["outputs"][name] for r in rs if name in r.get("outputs", {})})
-                        for name in OUTPUTS
-                        if any(name in r.get("outputs", {}) for r in rs)
-                    }
-                    for side, rs in sides.items()
-                },
+                "operations": operations,
+                "identity": {side: _identity(rs) for side, rs in sides.items()},
             }
         )
     return summary
