@@ -73,6 +73,23 @@ _SCALARS = {
 }
 
 
+# JSON has no NaN or infinity. A results file writes a non-finite number as
+# one of these strings, which a float field reads back; every float field of
+# a config must be finite and refuses them after decoding.
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _text_non_finite(v: object) -> object:
+    """`v` with each non-finite float in it replaced by its key in _NON_FINITE."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return [_text_non_finite(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _text_non_finite(x) for k, x in v.items()}
+    return v
+
+
 def _decode_value(tp: object, v: object, what: str):
     if get_origin(tp) is UnionType:  # `X | None`, the only union in use
         if v is None:
@@ -84,6 +101,8 @@ def _decode_value(tp: object, v: object, what: str):
         if not isinstance(v, list):
             raise ConfigError(f"{what} must be a JSON list, got {json.dumps(v)}")
         return tuple(_decode_value(get_args(tp)[0], x, f"{what}[{i}]") for i, x in enumerate(v))
+    if tp is float and type(v) is str and v in _NON_FINITE:
+        return _NON_FINITE[v]
     accepted, description = _SCALARS[tp]
     if type(v) not in accepted:
         raise ConfigError(f"{what} must be {description}, got {json.dumps(v)}")
@@ -251,8 +270,12 @@ class ResultSet:
                  rec.nfev_total, rec.converged)
             for key, rec in sorted(self.records.items())
         )
-        doc = _Document(self.meta, rows, tuple(self.symmetry_reports))
-        return json.dumps(asdict(doc), indent=2, sort_keys=True)
+        doc = asdict(_Document(self.meta, rows, tuple(self.symmetry_reports)))
+        # meta is an untyped object that would read a string back as a
+        # string, so a non-finite number there is refused, not written.
+        doc["records"] = _text_non_finite(doc["records"])
+        doc["symmetry_reports"] = _text_non_finite(doc["symmetry_reports"])
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> ResultSet:

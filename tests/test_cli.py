@@ -217,7 +217,7 @@ class TestVerify:
         rs = ResultSet.load(out)
         assert len(rs.symmetry_reports) == 6
 
-    def test_a_nan_deviation_fails(self, monkeypatch, capsys):
+    def test_a_nan_deviation_fails(self, monkeypatch, capsys, tmp_path):
         from qaoa_maxcut.simulator import ExpectationEvaluator
 
         value, calls = ExpectationEvaluator._value, []
@@ -226,9 +226,17 @@ class TestVerify:
             calls.append(None)
             return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
 
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
         monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
-        assert run_cli("verify", "--samples", 3) == 1
+        out = tmp_path / "symmetry.json"
+        assert run_cli("verify", "--samples", 3, "--out", out) == 1
         assert capsys.readouterr().out.count("max deviation nan") == 6
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert [r["max_abs_deviation"] for r in doc["symmetry_reports"]] == ["nan"] * 6
+        reports = ResultSet.load(out).symmetry_reports
+        assert all(math.isnan(r.max_abs_deviation) for r in reports)
 
 
 def assert_one_error_line(capsys, *fragments):

@@ -108,7 +108,7 @@ def _result_sets(draw):
     reports = st.builds(
         SymmetryReport,
         transform=st.text(max_size=8),
-        max_abs_deviation=_finite,
+        max_abs_deviation=st.floats(allow_nan=False),
         samples=st.integers(1, 1000),
     )
     rs.symmetry_reports = draw(st.lists(reports, max_size=3))
@@ -286,6 +286,31 @@ class TestResultSet:
         back = ResultSet.from_json(text)
         assert back == rs
         assert back.to_json() == text
+
+    def test_non_finite_numbers_are_written_as_strings_and_read_back(self):
+        rs = run_experiment(small_config(max_depth=1, trials=2))
+        key, rec = next(iter(rs.records.items()))
+        rs.records[key] = DepthRecord(
+            rec.depth, Parameters((math.inf,), (-math.inf,)), math.nan, rec.alpha, rec.nfev_total,
+            rec.strategy, rec.converged,
+        )
+        rs.symmetry_reports = [
+            SymmetryReport(transform=str(x), max_abs_deviation=x, samples=1)
+            for x in (math.nan, math.inf, -math.inf, 0.5)
+        ]
+        text = rs.to_json()
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"not JSON: {c}"))
+        assert [r["max_abs_deviation"] for r in doc["symmetry_reports"]] == ["nan", "inf", "-inf", 0.5]
+        (row,) = doc["records"]
+        assert (row["gammas"], row["betas"], row["f_star"]) == (["inf"], ["-inf"], "nan")
+        back = ResultSet.from_json(text)
+        assert back.to_json() == text
+        assert math.isnan(back.records[key].f_star)
+        assert back.records[key].phi_star == rs.records[key].phi_star
+
+    def test_non_finite_meta_is_refused(self):
+        with pytest.raises(ValueError, match="JSON"):
+            ResultSet(meta={"x": math.nan}).to_json()
 
     def test_duplicate_key_rejected(self):
         rs = run_experiment(small_config(max_depth=1, trials=2))

@@ -17,9 +17,12 @@ The summary gives, for each metric and series, the median and quartiles of
 each side, the pairs the change won and tied, the median change in percent,
 the parent's interquartile range and the gap between the medians (positive
 when the change is better). `--claim WORKLOAD:METRIC` adds the verdict of the
-pair rule: the change wins at least 9 of 10 pairs (or the same share) and the
-median gap exceeds the parent's interquartile range. `--traced WORKLOAD` adds
-one traced run per side, whose per-layer metrics show where a change acts.
+pair rule: the change wins at least 9 of 10 pairs (or the same share), the
+median gap exceeds the parent's interquartile range, and the change fails no
+larger share of its operations and no more runs than the parent. `--traced
+WORKLOAD` adds one traced run per side, whose per-layer metrics show where a
+change acts. The change is HEAD; each run lasts `bench/run.py`'s own default
+time.
 """
 
 from __future__ import annotations
@@ -81,9 +84,9 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def _run(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     command = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload]
-    command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    command += ["--seed", str(seed), "--trace", str(trace)]
     started = time.monotonic()
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     run = {"rc": proc.returncode, "wall_s": time.monotonic() - started}
@@ -188,7 +191,16 @@ def _verdict(summary: list[dict], claim: str) -> dict:
         if entry["workload"] != workload or metric not in entry["metrics"]:
             continue
         m = entry["metrics"][metric]
+        ops = entry["operations"]
         wins = m["pairs_won_by_change"] >= 0.9 * m["pairs"]
+        share = {
+            side: ops[side]["failed"] / ops[side]["attempted"] if ops[side]["attempted"] else 0.0
+            for side in ops
+        }
+        fails_no_more = (
+            share["change"] <= share["parent"]
+            and ops["change"]["runs_failed"] <= ops["parent"]["runs_failed"]
+        )
         result["series"].append(
             {
                 "seed": entry["seed"],
@@ -196,7 +208,9 @@ def _verdict(summary: list[dict], claim: str) -> dict:
                 "pairs": m["pairs"],
                 "median_gap": m["median_gap"],
                 "parent_iqr": m["parent_iqr"],
-                "met": wins and m["median_gap"] > m["parent_iqr"],
+                "failed": {side: ops[side]["failed"] for side in ops},
+                "runs_failed": {side: ops[side]["runs_failed"] for side in ops},
+                "met": wins and m["median_gap"] > m["parent_iqr"] and fails_no_more,
             }
         )
     return result
@@ -205,7 +219,6 @@ def _verdict(summary: list[dict], claim: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the parent commit")
-    parser.add_argument("--change", default="HEAD", help="the changed commit (default HEAD)")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root")
     parser.add_argument("--text", help="what the change does (default: its commit subject)")
     parser.add_argument(
@@ -214,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="WORKLOAD:SEED:PAIRS",
         help=f"repeatable; default {' '.join(DEFAULT_SERIES)}",
     )
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     parser.add_argument(
         "--traced",
@@ -229,13 +241,12 @@ def main(argv: list[str] | None = None) -> int:
         workload, seed, pairs = spec.split(":")
         series.append((workload, int(seed), int(pairs)))
     revs = {"parent": _git("rev-parse", "--short", args.parent)}
-    revs["change"] = _git("rev-parse", "--short", args.change)
+    revs["change"] = _git("rev-parse", "--short", "HEAD")
     same_bench = not _git("diff", "--stat", revs["parent"], revs["change"], "--", "bench")
     out = ROOT / f"BENCH_{args.label}.json"
     record = {
         "change": args.text or _git("log", "-1", "--format=%s", revs["change"]),
-        "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
-        f"--seconds {args.seconds:g} --trace 0",
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> --trace 0",
         "protocol": (
             "tools/bench_pairs.py: alternating pairs, odd pairs (numbered from 1) run the "
             "parent first, even pairs the change; each side runs bench/run.py from a git "
@@ -243,7 +254,9 @@ def main(argv: list[str] | None = None) -> int:
             + ", ".join(f"{w} seed {s} x{p}" for w, s, p in series)
             + "; quartiles by statistics.quantiles(method='inclusive'); higher is better for "
             "alpha_mean and ok_ratio, lower for the rest; median_gap is positive when the "
-            "change is better; parent_iqr is q3 - q1 of the parent's runs; identity lists "
+            "change is better; parent_iqr is q3 - q1 of the parent's runs; a claim is met "
+            "only if the change also fails no larger share of operations and no more runs "
+            "than the parent; identity lists "
             "the distinct sha256 of each output file over a side's runs, results.json with "
             "meta.created_at blanked; bench/ is "
             + ("the same on both sides" if same_bench else "NOT the same on both sides")
@@ -263,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(1, pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    run = _run(trees[side], workload, seed, args.seconds)
+                    run = _run(trees[side], workload, seed)
                     machine = run.pop("machine", None)
                     record["machine"] = record["machine"] or machine
                     record["runs"].append(
@@ -280,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                     out.write_text(json.dumps(record, indent=1) + "\n")
         for workload in args.traced:
             for side in revs:
-                run = _run(trees[side], workload, 0, args.seconds, trace=1)
+                run = _run(trees[side], workload, 0, trace=1)
                 layers = run.get("report", {}).get("metrics", {})
                 record.setdefault("traced", {}).setdefault(workload, {})[side] = {
                     name: entry["value"] for name, entry in layers.items()
