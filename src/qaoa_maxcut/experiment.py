@@ -337,24 +337,29 @@ def run_experiment(cfg: ExperimentConfig) -> ResultSet:
     return rs
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text of the header row and then `rows`, one line each."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 def emit_alpha_table(rs: ResultSet) -> str:
     """CSV of approximation ratios and cumulative evaluation counts:
     instance, strategy, p, F_star, alpha, nfev_cumulative, sorted by key."""
     if not rs.records:
         raise ValueError("empty result set")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance", "strategy", "p", "F_star", "alpha", "nfev_cumulative"])
     cumulative: dict[tuple[str, str], int] = {}
+    rows = []
     for key in sorted(rs.records):
         instance_id, strategy, depth = key
         rec = rs.records[key]
         group = (instance_id, strategy)
         cumulative[group] = cumulative.get(group, 0) + rec.nfev_total
-        writer.writerow(
+        rows.append(
             [instance_id, strategy, depth, repr(rec.f_star), repr(rec.alpha), cumulative[group]]
         )
-    return out.getvalue()
+    return _csv(["instance", "strategy", "p", "F_star", "alpha", "nfev_cumulative"], rows)
 
 
 def emit_params_trace(rs: ResultSet, instance: str, strategy: str) -> str:
@@ -367,33 +372,30 @@ def emit_params_trace(rs: ResultSet, instance: str, strategy: str) -> str:
     }
     if not selected:
         raise ValueError(f"no records for instance={instance!r} strategy={strategy!r}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["p", "j", "gamma_j", "beta_j"])
-    for key in sorted(selected):
-        rec = selected[key]
-        for j in range(rec.depth):
-            writer.writerow(
-                [rec.depth, j + 1, repr(rec.phi_star.gammas[j]), repr(rec.phi_star.betas[j])]
-            )
-    return out.getvalue()
+    rows = (
+        [rec.depth, j + 1, repr(rec.phi_star.gammas[j]), repr(rec.phi_star.betas[j])]
+        for rec in (selected[key] for key in sorted(selected))
+        for j in range(rec.depth)
+    )
+    return _csv(["p", "j", "gamma_j", "beta_j"], rows)
 
 
 def emit_landscape(g: Graph, resolution: int) -> str:
     """CSV grid of the depth-1 normalized expectation, `resolution` points per
     axis: gamma in [0, 2*pi), one period of gamma, and beta in [0, pi), two
-    periods of beta (whose period is pi/2; see symmetry.check_periodicity)."""
+    periods of beta (whose period is pi/2; see symmetry.check_periodicity).
+    A value that is not finite raises ValueError naming its point."""
     _require_count("resolution", resolution, 2)
     ev = ExpectationEvaluator(g)
     if ev.c_max < 1:
         raise ValueError("graph has no edges; landscape is undefined")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["gamma", "beta", "alpha"])
+    rows = []
     for i in range(resolution):
         gamma = 2.0 * math.pi * i / resolution
         for j in range(resolution):
             beta = math.pi * j / resolution
             alpha = ev.expectation(Parameters(gammas=(gamma,), betas=(beta,))) / ev.c_max
-            writer.writerow([repr(gamma), repr(beta), repr(alpha)])
-    return out.getvalue()
+            if not math.isfinite(alpha):
+                raise ValueError(f"alpha is {alpha} at (gamma, beta) = ({gamma!r}, {beta!r})")
+            rows.append([repr(gamma), repr(beta), repr(alpha)])
+    return _csv(["gamma", "beta", "alpha"], rows)

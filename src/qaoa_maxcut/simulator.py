@@ -12,20 +12,18 @@ vertex n-1 on side 0; the high half is the low half reversed. `prepare`
 returns the full 2^n state, mirrored from the half, in a new array.
 
 Every evaluation runs through one routine, the evaluator's `_advance`, on a
-stack of points, one row each: `expectation` and `prepare` hand it one row,
-and `advance_probes` a stack such as a point followed by its
-finite-difference gradient probes. Row 0 becomes the last call: it resumes
-after the leading layers it shares bit for bit with the last call, and its
-prefix states are stored as the loop computes them. Every other row
-resumes from them, and the rows run through the one layer loop in blocks
-of half states, one per row, with per-row angles, of at most about 1 MiB
-of states and scratch each: up to 64 rows at n = 10, one from n = 16. The
-evaluator keeps the values of an `advance_probes` stack, and `expectation`
-returns them. The mixer mixes each run of rows with a bit-equal angle as
-one flat row, by scalar coefficients; a block of several rows of two-lane
-size (below) takes per-row coefficient arrays.
-A row gets the same operations on the same bits whatever the block's size,
-so every value is bit-identical to a one-row call's.
+stack of points, one row each; `ExpectationEvaluator` says which callers
+hand it which stacks, and what it keeps of them. Row 0 becomes the last
+call: it resumes after the leading layers it shares bit for bit with the
+last call, and its prefix states are stored as the loop computes them.
+Every other row resumes from them, and the rows run through the one layer
+loop in blocks of half states, one per row, with per-row angles, of at most
+about 1 MiB of states and scratch each: up to 64 rows at n = 10, one from
+n = 16. The mixer mixes each run of rows with a bit-equal angle as one flat
+row, by scalar coefficients; a block of several rows of two-lane size
+(below) takes per-row coefficient arrays. A row gets the same operations on
+the same bits whatever the block's size, so every value is bit-identical to
+a one-row call's.
 
 The loop computes in rows of one pair of working arrays, the states and a
 scratch, which serves in turn as the phase gather buffer, the mixer's
@@ -361,25 +359,28 @@ class ExpectationEvaluator:
     evaluated thousands of times across depths. `c_max`, the maximum cut,
     is read off the same table.
 
-    Consecutive calls mostly share leading layers: each finite-difference
-    probe moves one angle, and the layerwise strategy freezes every layer
-    but the last. So the evaluator keeps the last call's angles and its
-    states after layers 1..p-1, and a point resumes from the deepest layer
-    whose (gamma_j, beta_j) pairs, and all before it, are bit-equal to the
-    last call's (a NaN angle never matches). The last call is row 0 of the
-    last stack `_advance` computed: the point `expectation` or `prepare`
-    last computed, or row 0 of the last `advance_probes`. A resumed state
-    comes from the same kernel calls on the same bits, so every result is
-    bit-identical to a fresh evaluator's. States are held as their low half
-    (see the module docstring), so the stored ones cost up to
-    (p-1) * 2^(n-1) * 16 bytes at the deepest p seen, 56 MiB at n = 20,
-    p = 8.
+    One rule says what an evaluator remembers between calls. Every
+    evaluation is a stack of k >= 1 points, which `_advance` alone runs:
+    `expectation` (on a miss) and `prepare` hand it one row, and
+    `advance_probes` a stack such as a point followed by its
+    finite-difference gradient probes; an empty stack is refused. Row 0 of
+    the last stack is the last call, whose angles and states after layers
+    1..p-1 are kept. The values of the last stack computed with values are
+    kept, keyed by the exact bits of their angles; `prepare`'s stack has
+    none, so it keeps none. `expectation` returns a kept value at bit-equal
+    angles as it is, and the last call stays as it was.
 
-    It also keeps the values that `advance_probes` last computed, keyed by
-    the exact bits of their angles, and `expectation` returns one of them
-    when called at those angles. Calls read and write these and the
-    evaluator's working arrays (see the module docstring), so an evaluator
-    must not be shared between threads.
+    Consecutive stacks mostly share leading layers: each finite-difference
+    probe moves one angle, and the layerwise strategy freezes every layer
+    but the last. So row 0 resumes from the deepest layer whose
+    (gamma_j, beta_j) pairs, and all before it, are bit-equal to the last
+    call's (a NaN angle never matches). A resumed state comes from the same
+    kernel calls on the same bits, so every result is bit-identical to a
+    fresh evaluator's. States are held as their low half (see the module
+    docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
+    the deepest p seen, 56 MiB at n = 20, p = 8. Calls read and write these
+    and the evaluator's working arrays, so an evaluator must not be shared
+    between threads.
     """
 
     def __init__(self, g: Graph):
@@ -404,25 +405,26 @@ class ExpectationEvaluator:
         # mmap threshold, and with it the cost of later allocations.
         self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
         self._scratch = np.empty_like(self._states)
-        # Values computed ahead by `advance_probes`, keyed by the bytes of
-        # their (gammas, betas) array.
+        # The values of the last stack computed with values, keyed by the
+        # bytes of their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
 
-    def _shared_layers(self, angles: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _shared_layers(angles: np.ndarray, reference: np.ndarray) -> np.ndarray:
         """How many leading layers of the (gammas, betas) array `angles`, or
-        of each array of a stack of them, can be resumed from the last call:
-        at most one fewer than either call's depth."""
-        m = min(angles.shape[-1], self._angles.shape[1]) - 1
-        new, old = angles[..., :m], self._angles[:, :m]
+        of each array of a stack of them, are bit-equal to those of the
+        (gammas, betas) array `reference`: at most one fewer than either
+        depth."""
+        m = min(angles.shape[-1], reference.shape[1]) - 1
+        new, old = angles[..., :m], reference[:, :m]
         same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
         return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
 
-    def _advance(self, angles: np.ndarray, value: bool = True) -> np.ndarray | None:
-        """The expectations at the (gammas, betas) arrays angles[r] of a
-        (k >= 1, 2, p) stack, in a new array, or None with `value` False,
-        which leaves the states only; row 0 becomes the last call (see the
-        module docstring). The other rows run in order of the layers they
-        share with row 0. Should the loop raise, the stored states are
+    def _advance(self, angles: np.ndarray, value: bool = True) -> None:
+        """Run the (gammas, betas) arrays angles[r] of a (k >= 1, 2, p) stack
+        by the class docstring's rule, computing no value with `value` False.
+        The other rows run in order of the layers they share with row 0.
+        Should the loop raise, nothing is kept and the stored states are
         those of at most the layers row 0 shares with the last call."""
         row = self._cut_index.size
         # Two lanes for two rows or more after row 0, where a row pays for the
@@ -432,16 +434,17 @@ class ExpectationEvaluator:
         small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 2
         lanes = 2 if small and _cpus() >= 2 else 1
         head = angles[0].copy()
-        k = int(self._shared_layers(head))
-        self._angles = head
-        shared = [k]
+        shared = [int(self._shared_layers(head, self._angles))]
         # A lone point skips an empty comparison, 6 of its 120 us at n = 10.
         if len(angles) > 1:
-            shared += self._shared_layers(angles[1:]).tolist()
-        # The loop overwrites stored states from k on; should it raise, the next
-        # call must resume from at most the first k.
-        self._angles = head[:, : k + 1]
-        # A stable sort puts row 0 first among the rows that share k layers.
+            shared += self._shared_layers(angles[1:], head).tolist()
+        # The loop overwrites stored states from shared[0] on; should it raise,
+        # the next call must resume from at most the first shared[0].
+        self._angles = head[:, : shared[0] + 1]
+        self._kept = {}
+        while len(self._after) < head.shape[1] - 1:  # room for row 0's states
+            self._after.append(np.empty(row, dtype=complex))
+        # A stable sort puts row 0 first among the rows that share its layers.
         order = sorted(range(len(angles)), key=shared.__getitem__)
         if lanes == 2:
             # Row 0 first and alone: a lane must not read the states it stores.
@@ -469,7 +472,8 @@ class ExpectationEvaluator:
         else:
             run(order, 0)
         self._angles = head
-        return values if value else None
+        if value:
+            self._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
 
     def _layers(
         self, angles: np.ndarray, starts: list[int], stored: int | None, offset: int
@@ -506,8 +510,6 @@ class ExpectationEvaluator:
             _phase_kernel(block, self._cut_index, tables[j - first, :started], work if j else None)
             _mixer_kernel(block, betas[j, :started], n, work)
             if store <= j < p - 1:
-                if j == len(self._after):
-                    self._after.append(np.empty_like(block[0]))
                 np.copyto(self._after[j], block[stored])
         return states
 
@@ -522,18 +524,14 @@ class ExpectationEvaluator:
         return np.concatenate((half, half[::-1]))
 
     def expectation(self, phi: Parameters) -> float:
-        """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z).
-
-        A value that `advance_probes` computed ahead at bit-equal angles is
-        returned as it is, and the stored states stay those of the last
-        call.
-        """
+        """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z); a
+        kept value at bit-equal angles is returned as it is, and otherwise
+        the point runs as a one-row stack (see the class docstring)."""
         angles = np.array((phi.gammas, phi.betas))
-        if self._kept:
-            kept = self._kept.get(angles.tobytes())
-            if kept is not None:
-                return kept
-        return float(self._advance(angles[None])[0])
+        key = angles.tobytes()
+        if key not in self._kept:
+            self._advance(angles[None])
+        return self._kept[key]
 
     def _value(self, half: np.ndarray, offset: int) -> float:
         """The expectation of the state whose low half is `half`."""
@@ -556,23 +554,19 @@ class ExpectationEvaluator:
 def advance_probes(evaluator: ExpectationEvaluator, angles: np.ndarray) -> None:
     """Compute ahead, together, the expectations at the rows of `angles`.
 
-    `angles` has shape (k, 2, p) with p >= 1: row r is the (gammas, betas)
-    array of one point, such as a point followed by its finite-difference
-    gradient probes. The stack runs through the evaluator's one evaluation
-    routine (see the module docstring), so row 0 becomes the evaluator's
-    last call, exactly as a call of `expectation` would leave it, and every
-    value is bit-identical to `expectation`'s. The values of all k rows
-    replace the evaluator's kept ones, and `expectation` returns one when
-    called with bit-equal angles. Should the loop raise, nothing is kept.
-    Input of any other shape raises ValueError and changes nothing.
+    `angles` has shape (k, 2, p) with k >= 1 and p >= 1: row r is the
+    (gammas, betas) array of one point, such as a point followed by its
+    finite-difference gradient probes. The stack runs through the
+    evaluator's one evaluation routine (see `ExpectationEvaluator`), so row
+    0 becomes the last call and the k values become the kept ones, which
+    `expectation` returns at bit-equal angles; every value is bit-identical
+    to a one-row call's. Input of any other shape, an empty stack included,
+    raises ValueError and changes nothing.
     """
     angles = np.ascontiguousarray(angles, dtype=float)
-    if angles.ndim != 3 or angles.shape[1] != 2 or angles.shape[2] < 1:
-        raise ValueError(f"probe angles must have shape (k, 2, p >= 1), got {angles.shape}")
-    evaluator._kept = {}
-    if len(angles):
-        values = evaluator._advance(angles)
-        evaluator._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
+    if angles.ndim != 3 or angles.shape[0] < 1 or angles.shape[1] != 2 or angles.shape[2] < 1:
+        raise ValueError(f"probe angles must have shape (k >= 1, 2, p >= 1), got {angles.shape}")
+    evaluator._advance(angles)
 
 
 def expectation_dense_oracle(g: Graph, phi: Parameters) -> float:

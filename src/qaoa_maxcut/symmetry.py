@@ -205,7 +205,8 @@ def non_adiabatic_progression(
     half of the over-wide box (gamma in [0, pi), beta in [0, pi/2)).
 
     The p=1 start is the best point of a 24 x 24 grid with gamma_1 in
-    [pi/2, pi), refined by bounded optimization. Later depths follow the
+    [pi/2, pi), refined by bounded optimization; a grid value that is not
+    finite raises ValueError naming its point. Later depths follow the
     parameters-fixing policy from that optimum: keep the previous branch
     optimum for the first p-1 layers and try `trials` new-layer starts over
     the whole box (one at (0, 0), the rest seeded uniform draws), optimizing
@@ -223,11 +224,13 @@ def non_adiabatic_progression(
         np.linspace(math.pi / 2.0, b.gamma_max, _GRID, endpoint=False),
         np.linspace(b.beta_min, b.beta_max, _GRID, endpoint=False),
     )
-    # max keeps the first of equal values, so ties go to the earliest point.
-    best_start = max(
-        (Parameters(gammas=(float(gamma),), betas=(float(beta),)) for gamma, beta in points),
-        key=ev.expectation,
-    )
+    grid = [Parameters(gammas=(float(gamma),), betas=(float(beta),)) for gamma, beta in points]
+    values = [ev.expectation(phi) for phi in grid]
+    bad = [phi for phi, value in zip(grid, values) if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"F is not finite at the depth-1 grid point {bad[0]}")
+    # index finds the first of equal values, so ties go to the earliest point.
+    best_start = grid[values.index(max(values))]
     cfg = StrategyConfig(
         max_depth=max_depth, bounds=b, trials=trials, rng_seed=seed, optimizer=optimizer
     )

@@ -206,6 +206,25 @@ class TestLandscape:
         assert run_cli("landscape", "--kind", "regular", "--n", 5, "--degree", 3) == 1
         assert_one_error_line(capsys, "instance reg3-n5-s0 is unsatisfiable")
 
+    def test_a_non_finite_value_fails_and_writes_no_file(self, monkeypatch, tmp_path, capsys):
+        from qaoa_maxcut.simulator import ExpectationEvaluator
+
+        value, calls = ExpectationEvaluator._value, []
+
+        def every_second_nan(ev, half, offset):
+            calls.append(None)
+            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+
+        monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
+        out = tmp_path / "l.csv"
+        assert run_cli(
+            "landscape", "--kind", "regular", "--n", 6, "--degree", 3,
+            "--resolution", 2, "--out", out,
+        ) == 1
+        # The grid's second point, (gamma, beta) = (0, pi/2), is the first NaN.
+        assert_one_error_line(capsys, f"alpha is nan at (gamma, beta) = (0.0, {math.pi / 2!r})")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_and_writes_report(self, tmp_path, capsys):

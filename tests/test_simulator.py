@@ -524,11 +524,11 @@ class TestPrefixReuse:
 
     def test_nan_layer_is_never_resumed(self, monkeypatch):
         ev = ExpectationEvaluator(K3)
-        phi = Parameters(gammas=(math.nan, 0.3), betas=(0.2, 0.1))
-        assert math.isnan(ev.expectation(phi))
+        assert math.isnan(ev.expectation(Parameters(gammas=(math.nan, 0.3), betas=(0.2, 0.1))))
         calls = []
         monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: calls.append(a))
-        ev.expectation(phi)
+        # Shares the NaN layer 1 with the last call, but not layer 2.
+        ev.expectation(Parameters(gammas=(math.nan, 0.3), betas=(0.2, 0.7)))
         assert len(calls) == 2
 
     def test_writing_into_a_returned_state_changes_no_later_result(self):
@@ -732,10 +732,11 @@ class TestAdvanceProbes:
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         flat = stack.reshape(len(stack), -1)
         three = np.concatenate((stack, stack[:, :1]), axis=1)
+        kept = dict(ev._kept)
         for bad in (flat, three, stack[..., :0], stack[0], stack[None]):
             with pytest.raises(ValueError, match="shape"):
                 advance_probes(ev, bad)
-            assert ev._kept == {}
+            assert ev._kept == kept
             assert calls == []
         # The stored states are still x's: a probe of the last layer computes one layer.
         phi = Parameters(gammas=tuple(stack[0, 0]), betas=tuple(stack[0, 1]))
@@ -751,7 +752,7 @@ class TestAdvanceProbes:
         assert ev._kept == kept
 
     @pytest.mark.parametrize("lanes", [1, 2])
-    def test_an_empty_stack_keeps_nothing_and_runs_no_kernel(self, lanes, monkeypatch):
+    def test_an_empty_stack_raises_and_runs_no_kernel(self, lanes, monkeypatch):
         g = gen_erdos_renyi(8, 0.6, 6)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         stack = probe_rows(x, *GENERAL_BOUNDS.box(2)).reshape(-1, 2, 2)
@@ -761,11 +762,14 @@ class TestAdvanceProbes:
         if lanes == 2:
             monkeypatch.setattr(simulator, "_LANE_MIN_AMPLITUDES", 1)
             monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+        kept, last = dict(ev._kept), ev._angles.tobytes()
         calls = []
         monkeypatch.setattr(simulator, "_phase_kernel", lambda *a: calls.append(a))
         monkeypatch.setattr(simulator, "_mixer_kernel", lambda *a: calls.append(a))
-        advance_probes(ev, stack[:0])
-        assert ev._kept == {}
+        with pytest.raises(ValueError, match="k >= 1"):
+            advance_probes(ev, stack[:0])
+        assert ev._kept == kept
+        assert ev._angles.tobytes() == last
         assert calls == []
 
     def test_rows_of_other_depths_and_two_changed_layers_are_kept(self, monkeypatch):
@@ -966,7 +970,8 @@ class TestAdvanceProbes:
         assert ev._kept == {}
         near_last, near_head = last.copy(), head.copy()
         near_last[1, 3] = near_head[1, 3] = 0.7
-        assert max(ev._shared_layers(np.array([near_head, near_last, head, last]))) <= 1
+        points = np.array([near_head, near_last, head, last])
+        assert max(ExpectationEvaluator._shared_layers(points, ev._angles)) <= 1
         phi = Parameters(gammas=tuple(near_head[0]), betas=tuple(near_head[1]))
         assert ev.expectation(phi).hex() == ExpectationEvaluator(g).expectation(phi).hex()
         for y in (last, near_last, head):
@@ -1388,7 +1393,8 @@ class TestWorkArrays:
         tracemalloc.start()
         try:
             for phi, shared in calls:
-                assert ev._shared_layers(np.array((phi.gammas, phi.betas))) == shared
+                angles = np.array((phi.gammas, phi.betas))
+                assert ExpectationEvaluator._shared_layers(angles, ev._angles) == shared
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 got.append(ev.expectation(phi).hex())

@@ -375,6 +375,36 @@ class TestBatchedProbes:
         assert served == []
         assert _bits(batched) == _bits(plain)
 
+    @pytest.mark.parametrize(
+        "run",
+        [run_bilinear, run_parameters_fixing, run_layerwise, run_linear_ramp, _non_adiabatic],
+        ids=["bilinear", "parameters_fixing", "layerwise", "linear_ramp", "non_adiabatic"],
+    )
+    def test_every_evaluation_inside_an_optimization_is_a_whole_request(self, run, monkeypatch):
+        # The evaluator keeps the values of its last stack only, so a one-row
+        # miss inside a request would evict the request's values, and each
+        # later probe of it would run alone: the same values and nfev, slower.
+        optimize, advance = strategies_module.maximize_bounded, ExpectationEvaluator._advance
+        request, stacks = [], []
+
+        def optimizing(objective, phi0, *args):
+            request.append(1 + 4 * phi0.p)  # the point and 4 probes per varied layer
+            try:
+                return optimize(objective, phi0, *args)
+            finally:
+                request.pop()
+
+        def recording(ev, angles, value=True):
+            if request:
+                stacks.append((len(angles), request[-1]))
+            return advance(ev, angles, value)
+
+        monkeypatch.setattr(strategies_module, "maximize_bounded", optimizing)
+        monkeypatch.setattr(ExpectationEvaluator, "_advance", recording)
+        run(gen_random_regular(8, 3, 3), small_cfg(GENERAL_BOUNDS, max_depth=3, trials=2, seed=5))
+        assert stacks
+        assert all(rows == whole for rows, whole in stacks)
+
     def test_one_and_two_cpus_give_equal_records_at_sixteen_qubits(self, monkeypatch):
         # At n = 16 one CPU advances each gradient's probes on one lane, one
         # row at a time, and two CPUs on two lanes.

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,24 @@ class TestNonAdiabaticProgression:
         # point with its probes.
         assert sum(row_layers) > 0
         assert len(one_row) == 24 * 24
+
+    @pytest.mark.parametrize("call", [1, 5])
+    def test_a_non_finite_grid_value_raises(self, call, monkeypatch):
+        # With a NaN first value, max kept the NaN point (pi/2, 0), a beta = 0
+        # stationary point, as the branch start; with a NaN fifth, it ran on.
+        value, calls = ExpectationEvaluator._value, []
+
+        def nan_once(ev, half, offset):
+            calls.append(None)
+            return math.nan if len(calls) == call else value(ev, half, offset)
+
+        monkeypatch.setattr(ExpectationEvaluator, "_value", nan_once)
+        betas = np.linspace(0.0, math.pi / 2, 24, endpoint=False)
+        point = Parameters(gammas=(math.pi / 2,), betas=(float(betas[call - 1]),))
+        with pytest.raises(ValueError, match=re.escape(f"grid point {point}")):
+            non_adiabatic_progression(gen_random_regular(8, 3, 3), max_depth=1, trials=2)
+        # The whole grid, and no refinement.
+        assert len(calls) == 24 * 24
 
     def test_rejects_non_odd_regular(self):
         with pytest.raises(ValueError, match="odd-regular"):

@@ -16,7 +16,9 @@ interrupted series keeps the runs it finished.
 The summary gives, for each metric and series, the median and quartiles of
 each side, the pairs the change won and tied, the median change in percent,
 the parent's interquartile range and the gap between the medians (positive
-when the change is better). `--claim WORKLOAD:METRIC` adds the verdict of the
+when the change is better), and `identical`: true when every run of both
+sides wrote the same output files with one sha256 each, null when the
+workload writes none. `--claim WORKLOAD:METRIC` adds the verdict of the
 pair rule: the change wins at least 9 of 10 pairs (or the same share), the
 median gap exceeds the parent's interquartile range, and the change fails no
 larger share of its operations and no more runs than the parent. `--traced
@@ -153,6 +155,15 @@ def _identity(runs: list[dict]) -> dict:
     return {name: sorted(digests) for name, digests in seen.items()}
 
 
+def _identical(runs: list[dict]) -> bool | None:
+    """Whether every run wrote the same output files, each with one sha256;
+    None when no run wrote any."""
+    outputs = [run.get("outputs", {}) for run in runs]
+    if not any(outputs):
+        return None
+    return all(o == outputs[0] for o in outputs)
+
+
 def _summary(runs: list[dict]) -> list[dict]:
     series = {}
     for run in runs:
@@ -179,6 +190,7 @@ def _summary(runs: list[dict]) -> list[dict]:
                 "metrics": {m: v for m, v in metrics.items() if v is not None},
                 "operations": operations,
                 "identity": {side: _identity(rs) for side, rs in sides.items()},
+                "identical": _identical(sides["parent"] + sides["change"]),
             }
         )
     return summary
@@ -258,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
             "only if the change also fails no larger share of operations and no more runs "
             "than the parent; identity lists "
             "the distinct sha256 of each output file over a side's runs, results.json with "
-            "meta.created_at blanked; bench/ is "
+            "meta.created_at blanked; identical is true when every run of both sides wrote "
+            "the same files with one sha256 each, null when the workload writes none; bench/ is "
             + ("the same on both sides" if same_bench else "NOT the same on both sides")
         ),
         "parent": revs["parent"],
