@@ -106,7 +106,10 @@ def _decode_value(tp: object, v: object, what: str):
     accepted, description = _SCALARS[tp]
     if type(v) not in accepted:
         raise ConfigError(f"{what} must be {description}, got {json.dumps(v)}")
-    return float(v) if tp is float else v
+    try:
+        return float(v) if tp is float else v
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
 
 
 def _read_json(path: str | Path) -> object:

@@ -38,6 +38,12 @@ def _require_count(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _require_number(name: str, value: object) -> None:
+    """Raise ValueError naming `name` unless `value` is a number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 class GraphClass(enum.Enum):
     """Degree-based classification that selects the optimization bounds."""
 

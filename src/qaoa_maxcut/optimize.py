@@ -6,12 +6,11 @@ when the package loads: code that only simulates, such as the `landscape`,
 `verify`, `gen`, `table` and `trace` commands, never loads scipy.
 
 The gradient is by central finite differences, 2 probes per coordinate, all
-counted in nfev. Each L-BFGS-B request is the value and the gradient at
-one point, computed by one call. An objective may carry a `prefetch`
-attribute, which gets the point followed by its probes before the
-objective is called at any of them. The objective is still called once per
-point and once per probe, in the same order, so the counts, the best point
-and the errors do not depend on `prefetch`.
+counted in nfev. Each L-BFGS-B request is the value and the gradient at one
+point, built once as rows: the point, then its probes. An objective may
+carry a `prefetch` attribute, which gets each request's rows, the point and
+then its probes; the objective is then called on each row in that order, so
+the counts, the best point and the errors do not depend on `prefetch`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import GraphClass, _require_count
+from .graphs import GraphClass, _require_count, _require_number
 from .simulator import Parameters
 
 __all__ = [
@@ -56,6 +55,8 @@ class Bounds:
     beta_max: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            _require_number(name, value)
         if not all(map(math.isfinite, astuple(self))):
             raise ValueError(f"bounds must be finite: {self}")
         if not (self.gamma_min < self.gamma_max and self.beta_min < self.beta_max):
@@ -103,6 +104,8 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         _require_count("max_iterations", self.max_iterations, 1)
+        _require_number("gradient_step", self.gradient_step)
+        _require_number("convergence_tolerance", self.convergence_tolerance)
         # Written as a range test so that NaN, which compares false, fails it.
         if not all(0 < x < math.inf for x in astuple(self)):
             raise ValueError(f"optimizer settings must be positive and finite: {self}")
@@ -131,37 +134,12 @@ class OptimizationError(RuntimeError):
         self.best_f = best_f
 
 
-class _CountedObjective:
-    """Tracks call count and best finite point; raises on non-finite values."""
-
-    def __init__(self, fun: Callable[[np.ndarray], float]):
-        self._fun = fun
-        self.nfev = 0
-        self.best_x: np.ndarray | None = None
-        self.best_f = -math.inf
-
-    def __call__(self, x: np.ndarray) -> float:
-        self.nfev += 1
-        value = float(self._fun(x))
-        if not math.isfinite(value):
-            raise OptimizationError(
-                f"objective returned non-finite value {value} at {x}",
-                nfev=self.nfev,
-                best_x=self.best_x,
-                best_f=self.best_f,
-            )
-        if value > self.best_f:
-            self.best_f = value
-            self.best_x = np.array(x, dtype=float)
-        return value
-
-
 def _probes(
     x: np.ndarray, lower: np.ndarray, upper: np.ndarray, step: float
 ) -> tuple[list[int], np.ndarray]:
-    """The central-difference gradient probes at x, in calling order: the
-    probed coordinates k, and rows 2i and 2i + 1 of the returned array are
-    x + h e_k and x - h e_k for the i-th of them."""
+    """The request at x, in calling order: row 0 is x, and rows 2i + 1 and
+    2i + 2 are x + h e_k and x - h e_k for the i-th of the probed
+    coordinates k, which are returned with the rows."""
     # Probes are clamped into the box, so every counted evaluation is at a
     # feasible point; at an active bound this degrades to a one-sided
     # difference over the actual spread.
@@ -171,22 +149,19 @@ def _probes(
     # the gradient, do not depend on the order; any length is visited whole.
     p = max(1, x.size // 2)
     order = sorted(range(x.size), key=lambda i: -(i % p))
-    rows = np.repeat(x[None], 2 * x.size, axis=0)
-    for i, k in enumerate(order):
-        rows[2 * i, k] = min(x[k] + step, upper[k])
-        rows[2 * i + 1, k] = max(x[k] - step, lower[k])
+    rows = np.repeat(x[None], 1 + 2 * x.size, axis=0)
+    for i, k in enumerate(order, 1):
+        rows[2 * i - 1, k] = min(x[k] + step, upper[k])
+        rows[2 * i, k] = max(x[k] - step, lower[k])
     return order, rows
 
 
-def _fd_gradient(
-    fun: Callable[[np.ndarray], float], order: list[int], rows: np.ndarray
-) -> np.ndarray:
-    """The central-difference gradient from the probes `_probes` returned,
-    calling `fun` once per probe in calling order."""
+def _fd_gradient(order: list[int], rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The central-difference gradient from a request `_probes` returned and
+    the objective's values at its rows."""
+    # A probe pair differs in one coordinate, so its difference sums to the spread exactly.
     grad = np.empty(rows.shape[1])
-    for k, xp, xm in zip(order, rows[::2], rows[1::2]):
-        spread = xp[k] - xm[k]
-        grad[k] = (fun(xp) - fun(xm)) / spread
+    grad[order] = (values[1::2] - values[2::2]) / (rows[1::2] - rows[2::2]).sum(axis=1)
     return grad
 
 
@@ -205,11 +180,11 @@ def maximize_flat(
     per gradient). The best evaluated point is returned, so f_star never
     falls below fun(x0). Deterministic for fixed inputs. A non-finite value
     of `fun` raises OptimizationError. A box that is not finite and
-    non-degenerate in every coordinate (the rule `Bounds` applies) or a start
-    outside it raises ValueError before `fun` is called. When `fun` has a
-    `prefetch` attribute, each call of `fun` at a new point x is preceded by
-    `fun.prefetch(rows)`, whose row 0 is x and whose other rows are x's
-    gradient probes, one flat point per row in calling order.
+    non-degenerate in every coordinate (the rule `Bounds` applies), a start
+    outside it, or a gradient step that moves no angle at the box's largest
+    bound raises ValueError before `fun` is called. A `fun.prefetch` gets
+    each request's rows, the point and then its probes, one flat point per
+    row, and `fun` is then called on each row in that order.
     """
     from scipy.optimize import minimize  # deferred: see the module docstring
 
@@ -230,17 +205,30 @@ def maximize_flat(
     if not np.all((lower <= x0) & (x0 <= upper)):
         raise ValueError(f"start {x0} outside box [{lower}, {upper}]")
 
-    counted = _CountedObjective(fun)
-    prefetch = getattr(fun, "prefetch", None)
+    # A step of at most half an ulp of the largest bound rounds x ± h to x: 0 / 0.
     step = config.gradient_step
+    if np.any(2 * step <= np.spacing(np.maximum(abs(lower), abs(upper)))):
+        raise ValueError(f"gradient_step {step} moves no angle in box [{lower}, {upper}]")
+
+    prefetch = getattr(fun, "prefetch", None)
+    nfev, best_x, best_f = 0, None, -math.inf
 
     def neg_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        # With jac=True scipy asks for both at once, so one block serves them.
+        # With jac=True scipy asks for both at once, so one request serves them.
+        nonlocal nfev, best_x, best_f
         order, rows = _probes(x, lower, upper, step)
         if prefetch is not None:
-            prefetch(np.concatenate(([x], rows)))
-        value = counted(x)
-        return -value, -_fd_gradient(counted, order, rows)
+            prefetch(rows)
+        values = np.empty(len(rows))
+        for i, y in enumerate(rows):
+            nfev += 1
+            values[i] = value = float(fun(y))
+            if not math.isfinite(value):
+                message = f"objective returned non-finite value {value} at {y}"
+                raise OptimizationError(message, nfev, best_x, best_f)
+            if value > best_f:
+                best_f, best_x = value, y.copy()
+        return -values[0], -_fd_gradient(order, rows, values)
 
     res = minimize(
         neg_and_grad,
@@ -254,8 +242,8 @@ def maximize_flat(
             "maxiter": config.max_iterations,
         },
     )
-    assert counted.best_x is not None
-    return counted.best_x, counted.best_f, counted.nfev, bool(res.success)
+    assert best_x is not None
+    return best_x, best_f, nfev, bool(res.success)
 
 
 def maximize_bounded(
@@ -269,8 +257,9 @@ def maximize_bounded(
     `phi0` must already lie inside the box (callers clamp first). The
     reported nfev is exactly the number of `objective` calls made. A
     non-finite objective value raises maximize_flat's OptimizationError.
-    An `objective.prefetch` gets each new point followed by its gradient's
-    probes as a (k, 2, p) array of (gammas, betas) rows; see `maximize_flat`.
+    An `objective.prefetch` gets each request's rows, the point and then its
+    probes, as a (k, 2, p) array of (gammas, betas) rows, and `objective` is
+    then called on each row in that order; see `maximize_flat`.
     """
     if not b.contains(phi0):
         raise ValueError(f"start {phi0} violates bounds {b}; clamp first")

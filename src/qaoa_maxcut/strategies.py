@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, _require_count
+from .graphs import Graph, _require_count, _require_number
 from .optimize import Bounds, OptResult, OptimizerConfig, clamp, maximize_bounded
 from .simulator import ExpectationEvaluator, Parameters, advance_probes
 
@@ -107,6 +107,7 @@ def linear_ramp_init(p: int, delta_t: float) -> Parameters:
     """Discretized-annealing start: gamma_j = (j/p)*dt ramps up,
     beta_j = (1 - j/p)*dt ramps down, j = 1..p."""
     _require_count("depth", p, 1)
+    _require_number("delta_t", delta_t)
     if not 0 < delta_t < math.inf:
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     gammas = tuple(j / p * delta_t for j in range(1, p + 1))

@@ -370,6 +370,48 @@ class TestBadInputs:
         assert_one_error_line(capsys, fragment)
 
     @pytest.mark.parametrize(
+        "change, key",
+        [
+            (
+                {"instances": [{"kind": "erdos_renyi", "n": 4, "prob": 10**400, "seed": 0}]},
+                "config.instances[0].prob",
+            ),
+            (
+                {"bounds": dict(gamma_min=0, gamma_max=10**400, beta_min=0, beta_max=1)},
+                "config.bounds.gamma_max",
+            ),
+            ({"optimizer": {"gradient_step": 10**400}}, "config.optimizer.gradient_step"),
+        ],
+        ids=["prob", "gamma-max", "gradient-step"],
+    )
+    def test_an_integer_too_large_for_a_float_names_its_key(self, change, key, tmp_path, capsys):
+        # float() of an integer of 309 digits or more raises OverflowError.
+        path = self.write(tmp_path, {**CONFIG, **change})
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, f"{key} is an integer too large for a float")
+
+    def test_a_results_integer_too_large_for_a_float_names_its_key(self, tmp_path, capsys):
+        path = self.write(tmp_path, one_row(gammas=[10**400]))
+        assert run_cli("table", "--results", path) == 1
+        assert_one_error_line(capsys, "results.records[0].gammas[0] is an integer too large")
+
+    def test_a_gradient_step_that_moves_no_angle_fails_before_any_call(
+        self, tmp_path, capsys, recwarn
+    ):
+        # 0.2 + 1e-300 == 0.2, so every difference was 0 / 0 and the run ended
+        # on a NaN point, blamed on the objective, after a numpy warning.
+        config = {
+            **CONFIG,
+            "instances": [{"kind": "regular", "n": 6, "degree": 3, "seed": 1}],
+            "trials": 2,
+            "optimizer": {"gradient_step": 1e-300},
+        }
+        path = self.write(tmp_path, config)
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, "gradient_step 1e-300 moves no angle")
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
         "doc, fragment",
         [
             ({}, "results is missing the required key 'meta'"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoa_maxcut.graphs import Graph, GraphClass, gen_random_regular
 from qaoa_maxcut.optimize import (
@@ -10,6 +12,8 @@ from qaoa_maxcut.optimize import (
     Bounds,
     OptimizationError,
     OptimizerConfig,
+    _fd_gradient,
+    _probes,
     bounds_for_graph,
     clamp,
     maximize_bounded,
@@ -75,30 +79,75 @@ class TestMaximizeFlat:
             maximize_flat(lambda x: 0.0, [2.0], [0.0], [1.0])
 
     @pytest.mark.parametrize(
-        "x0, lower, upper, match",
+        "x0, lower, upper, step, match",
         [
             # Equal bounds made the FD gradient divide 0 by 0, and L-BFGS-B
             # stopped at [0.399999, 0.5], not at the box maximum [0.3, 0.5].
-            ([0.2, 0.5], [0.0, 0.5], [1.0, 0.5], "degenerate"),
-            ([0.5], [1.0], [0.0], "degenerate"),
-            ([0.2], [math.nan], [1.0], "finite"),
-            ([0.2], [0.0], [math.inf], "finite"),
-            ([0.2, 0.5], [0.0], [1.0], "shape"),
-            ([[0.2, 0.5]], [[0.0, 0.0]], [[1.0, 1.0]], "1-D"),
-            ([], [], [], "non-empty"),
-            ([math.nan], [0.0], [1.0], "outside"),
+            ([0.2, 0.5], [0.0, 0.5], [1.0, 0.5], 1e-6, "degenerate"),
+            ([0.5], [1.0], [0.0], 1e-6, "degenerate"),
+            ([0.2], [math.nan], [1.0], 1e-6, "finite"),
+            ([0.2], [0.0], [math.inf], 1e-6, "finite"),
+            ([0.2, 0.5], [0.0], [1.0], 1e-6, "shape"),
+            ([[0.2, 0.5]], [[0.0, 0.0]], [[1.0, 1.0]], 1e-6, "1-D"),
+            ([], [], [], 1e-6, "non-empty"),
+            ([math.nan], [0.0], [1.0], 1e-6, "outside"),
+            # x + h and x - h round to x, so the gradient was 0 / 0 and
+            # L-BFGS-B stepped to NaN. Half the spacing at the largest bound
+            # still rounds to it; at the second box, 1e-300 moves 0 but not 4.
+            ([0.2, 0.5], [0.0, 0.0], [1.0, 1.0], 1e-300, "gradient_step"),
+            ([0.2, 0.5], [0.0, -4.0], [1.0, 0.5], 1e-300, "gradient_step"),
+            ([0.2], [0.0], [1.0], np.spacing(1.0) / 2, "gradient_step"),
         ],
         ids=[
             "equal-bounds", "inverted-bounds", "nan-bound", "infinite-bound",
             "short-box", "2d-start", "empty-start", "nan-start",
+            "step-moves-no-angle", "step-moves-no-negative-bound", "step-half-a-spacing",
         ],
     )
-    def test_bad_box_rejected_before_first_call(self, x0, lower, upper, match):
+    def test_bad_box_rejected_before_first_call(self, x0, lower, upper, step, match):
         def fun(x):
             raise AssertionError(f"objective called at {x}")
 
         with pytest.raises(ValueError, match=match):
-            maximize_flat(fun, x0, lower, upper)
+            maximize_flat(fun, x0, lower, upper, OptimizerConfig(gradient_step=step))
+
+    def test_a_step_just_over_half_a_spacing_moves_every_angle(self):
+        # The least step the rule accepts at [0, 1] still probes every point
+        # of the box to a spread above 0, so the gradient is finite.
+        step = np.nextafter(np.spacing(1.0) / 2, 1.0)
+        for x in (0.0, 0.5, np.nextafter(1.0, 0.0), 1.0):
+            _, rows = _probes(np.array([x]), np.zeros(1), np.ones(1), step)
+            assert rows[1, 0] > rows[2, 0]
+
+
+class TestFdGradient:
+    """The gradient differences a request's values in one array expression."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_probe_formula_bit_for_bit(self, data):
+        size = data.draw(st.integers(1, 16), label="size")
+        step = data.draw(st.sampled_from([1e-6, 1e-3, 0.3]), label="step")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lower = rng.uniform(-4.0, 4.0, size)
+        upper = lower + rng.uniform(step / 4, 4.0, size)
+        # At a bound, within a step of either, or inside: probes clamp at
+        # either bound, and at both when the box is narrower than 2h.
+        inside = rng.uniform(lower, upper)
+        near = np.clip(lower + step * rng.uniform(0, 1, size), lower, upper)
+        choices = np.array([lower, upper, near, upper - (near - lower), inside])
+        x = choices[rng.integers(0, len(choices), size), np.arange(size)]
+        order, rows = _probes(x, lower, upper, step)
+        assert rows.shape == (1 + 2 * size, size)
+        assert sorted(order) == list(range(size)) and np.array_equal(rows[0], x)
+        assert np.all((lower <= rows) & (rows <= upper))
+        values = rng.normal(0.0, 1.0, len(rows)) * 10.0 ** rng.uniform(-6, 6, len(rows))
+        grad = _fd_gradient(order, rows, values)
+        for i, k in enumerate(order, 1):
+            xp, xm = rows[2 * i - 1], rows[2 * i]
+            assert np.count_nonzero(xp != x) <= 1 and np.count_nonzero(xm != x) <= 1
+            expected = (float(values[2 * i - 1]) - float(values[2 * i])) / (xp[k] - xm[k])
+            assert grad[k].hex() == expected.hex()
 
 
 class TestMaximizeBounded:

@@ -77,9 +77,9 @@ def fd_gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) 
     ev = ExpectationEvaluator(g)
     x = phi.to_array()
     unbounded = np.full(x.size, np.inf)
-    return _fd_gradient(
-        lambda y: ev.expectation(Parameters.from_array(y)), *_probes(x, -unbounded, unbounded, step)
-    )
+    order, rows = _probes(x, -unbounded, unbounded, step)
+    values = [ev.expectation(Parameters.from_array(y)) for y in rows]
+    return _fd_gradient(order, rows, np.array(values))
 
 
 def k2_closed_form(gamma: float, beta: float) -> float:
@@ -580,7 +580,9 @@ class TestPrefixReuse:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
-        _fd_gradient(objective, *_probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP))
+        # Row 0 is x again, whose value the evaluator kept.
+        order, rows = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)
+        _fd_gradient(order, rows, np.array([objective(y) for y in rows]))
         assert len(calls) == 2 * p * (p + 1)
 
     def test_a_call_that_raises_leaves_no_stale_prefix(self, monkeypatch):
@@ -607,7 +609,7 @@ class TestPrefixReuse:
 
 def probe_rows(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The optimizer's gradient probes at x, one per row, in calling order."""
-    return _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1]
+    return _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1][1:]
 
 
 class TestAdvanceProbes:
@@ -858,7 +860,7 @@ class TestAdvanceProbes:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
-        probes = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)[1]
+        probes = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)[1][1:]
         advance_probes(ev, probes.reshape(len(probes), 2, p))
         assert sum(rows) == 2 * p * (p + 1)
         assert len(rows) == p
@@ -1082,7 +1084,7 @@ from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, GENERAL_BOUNDS, _probes
 p = 3
 lower, upper = GENERAL_BOUNDS.box(p)
 x = np.random.default_rng(3).uniform(lower, upper)
-rows = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1].reshape(-1, 2, p)
+rows = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1][1:].reshape(-1, 2, p)
 g = gen_erdos_renyi(15, 0.5, 2)
 for cpus in (2, 1):
     simulator._cpus = lambda: cpus

@@ -26,7 +26,7 @@ from qaoa_maxcut import (
     run_symmetry_suite,
 )
 from qaoa_maxcut.experiment import ConfigError
-from qaoa_maxcut.optimize import REGULAR_BOUNDS
+from qaoa_maxcut.optimize import REGULAR_BOUNDS, Bounds
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qaoa_maxcut.__path__))
 
@@ -196,3 +196,25 @@ def test_every_public_count_is_an_integer_of_at_least_its_least_value(field, lea
     with pytest.raises(error) as caught:
         call(least - 1)
     assert f"{field} must be >= {least}, got {least - 1}" in str(caught.value)
+
+
+BOX = {"gamma_min": 0.0, "gamma_max": 1.0, "beta_min": 0.0, "beta_max": 1.0}
+
+# (entry point, field as the message names it, call with the setting set to v).
+NUMBERS = [
+    *(
+        (f"OptimizerConfig {name}", name, lambda v, name=name: OptimizerConfig(**{name: v}))
+        for name in ("gradient_step", "convergence_tolerance")
+    ),
+    *((f"Bounds {name}", name, lambda v, name=name: Bounds(**{**BOX, name: v})) for name in BOX),
+    ("linear_ramp_init", "delta_t", lambda v: linear_ramp_init(2, v)),
+]
+
+
+@pytest.mark.parametrize("field, call", [c[1:] for c in NUMBERS], ids=[c[0] for c in NUMBERS])
+def test_every_public_float_setting_is_a_number_and_not_a_bool(field, call):
+    # A bool, a string and None each fail at once, naming the setting.
+    for value in (True, False, "0.5", None):
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        assert f"{field} must be a number, got {value!r}" in str(caught.value)

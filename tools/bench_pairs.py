@@ -17,8 +17,11 @@ The summary gives, for each metric and series, the median and quartiles of
 each side, the pairs the change won and tied, the median change in percent,
 the parent's interquartile range and the gap between the medians (positive
 when the change is better), and `identical`: true when every run of both
-sides wrote the same output files with one sha256 each, null when the
-workload writes none. `--claim WORKLOAD:METRIC` adds the verdict of the
+sides wrote the same output files with one sha256 each. A workload that
+writes no file (bilinear-n14) instead runs its body once per side after its
+series, in a fresh process with that side's `src/` and `bench/` first on
+`sys.path`, and is identical when both sides' collected results, as sorted
+JSON, have one sha256. `--claim WORKLOAD:METRIC` adds the verdict of the
 pair rule: the change wins at least 9 of 10 pairs (or the same share), the
 median gap exceeds the parent's interquartile range, and the change fails no
 larger share of its operations and no more runs than the parent. `--traced
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import shutil
 import statistics
@@ -60,6 +64,22 @@ METRICS = (
 )
 # Output files a body leaves under .bench_run/<workload>/, hashed per run.
 OUTPUTS = ("out/results.json", "table.csv", "landscape.csv")
+# One body of a workload in a fresh process, printing the sha256 of its
+# collected result as sorted JSON. argv: tree, workload, seed.
+COLLECT = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+tree, name, seed = sys.argv[1:]
+sys.path[:0] = [f"{tree}/src", f"{tree}/bench"]
+from workloads import WORKLOADS
+wl = WORKLOADS[name].at_seed(int(seed))
+with tempfile.TemporaryDirectory() as work:
+    inputs = wl.prepare(Path(work))
+    got = wl.collect(inputs, wl.body(inputs))
+print(hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest())
+"""
+# The thread pools bench/run.py pins for every measured process.
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def _git(*args: str) -> str:
@@ -107,6 +127,20 @@ def _run(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     work = tree / ".bench_run" / workload
     run["outputs"] = {name: _digest(work / name) for name in OUTPUTS if (work / name).is_file()}
     return run
+
+
+def _collected(tree: Path, workload: str, seed: int) -> dict:
+    """The sha256 of `workload`'s collected result from one body run on `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COLLECT, str(tree), workload, str(seed)],
+        cwd=tree,
+        env={**os.environ, **THREADS},
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        return {"rc": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {"rc": 0, "outputs": {"collected": proc.stdout.strip()}}
 
 
 def _value(run: dict, metric: str) -> float | None:
@@ -164,7 +198,7 @@ def _identical(runs: list[dict]) -> bool | None:
     return all(o == outputs[0] for o in outputs)
 
 
-def _summary(runs: list[dict]) -> list[dict]:
+def _summary(runs: list[dict], collected: list[dict]) -> list[dict]:
     series = {}
     for run in runs:
         pair = series.setdefault((run["workload"], run["seed"]), {}).setdefault(run["pair"], {})
@@ -174,6 +208,12 @@ def _summary(runs: list[dict]) -> list[dict]:
         pairs = [(p["parent"], p["change"]) for p in by_pair.values() if len(p) == 2]
         metrics = {m: _compare(pairs, m) for m in METRICS}
         sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
+        bodies = {
+            side: [c for c in collected if (c["workload"], c["seed"], c["side"]) == (workload, seed, side)]
+            for side in sides
+        }
+        # A workload that writes no file is compared by its collected results.
+        outputs = sides if any(r.get("outputs") for rs in sides.values() for r in rs) else bodies
         operations = {
             side: {
                 "attempted": sum(r.get("report", {}).get("attempted", 0) for r in rs),
@@ -189,8 +229,8 @@ def _summary(runs: list[dict]) -> list[dict]:
                 "pairs": len(pairs),
                 "metrics": {m: v for m, v in metrics.items() if v is not None},
                 "operations": operations,
-                "identity": {side: _identity(rs) for side, rs in sides.items()},
-                "identical": _identical(sides["parent"] + sides["change"]),
+                "identity": {side: _identity(rs) for side, rs in outputs.items()},
+                "identical": _identical(outputs["parent"] + outputs["change"]),
             }
         )
     return summary
@@ -226,6 +266,13 @@ def _verdict(summary: list[dict], claim: str) -> dict:
             }
         )
     return result
+
+
+def _write(out: Path, record: dict, claims: list[str]) -> None:
+    record["summary"] = _summary(record["runs"], record["collected"])
+    if claims:
+        record["claim_result"] = [_verdict(record["summary"], c) for c in claims]
+    out.write_text(json.dumps(record, indent=1) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -271,7 +318,10 @@ def main(argv: list[str] | None = None) -> int:
             "than the parent; identity lists "
             "the distinct sha256 of each output file over a side's runs, results.json with "
             "meta.created_at blanked; identical is true when every run of both sides wrote "
-            "the same files with one sha256 each, null when the workload writes none; bench/ is "
+            "the same files with one sha256 each; a workload that writes no file runs its body "
+            "once per side after its series, in a fresh process with that side's src/ and bench/ "
+            "first on sys.path, and is compared by the sha256 of its collected result as sorted "
+            "JSON under 'collected'; bench/ is "
             + ("the same on both sides" if same_bench else "NOT the same on both sides")
         ),
         "parent": revs["parent"],
@@ -279,6 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": None,
         "summary": [],
         "runs": [],
+        "collected": [],
     }
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -300,10 +351,14 @@ def main(argv: list[str] | None = None) -> int:
                         f"run_s {_value(run, 'run_s')} setup_s {_value(run, 'setup_s')}",
                         flush=True,
                     )
-                    record["summary"] = _summary(record["runs"])
-                    if args.claim:
-                        record["claim_result"] = [_verdict(record["summary"], c) for c in args.claim]
-                    out.write_text(json.dumps(record, indent=1) + "\n")
+                    _write(out, record, args.claim)
+            ran = [r for r in record["runs"] if (r["workload"], r["seed"]) == (workload, seed)]
+            if not any(r.get("outputs") for r in ran):
+                for side in revs:
+                    body = _collected(trees[side], workload, seed)
+                    record["collected"].append({"side": side, "workload": workload, "seed": seed, **body})
+                    print(f"{workload} seed {seed} collected {side}: rc {body['rc']}", flush=True)
+                _write(out, record, args.claim)
         for workload in args.traced:
             for side in revs:
                 run = _run(trees[side], workload, 0, trace=1)
@@ -316,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"wrote {out}")
-    return 0 if all(r["rc"] == 0 for r in record["runs"]) else 1
+    return 0 if all(r["rc"] == 0 for r in record["runs"] + record["collected"]) else 1
 
 
 if __name__ == "__main__":
