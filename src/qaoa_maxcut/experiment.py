@@ -115,7 +115,7 @@ def _decode_value(tp: object, v: object, what: str):
 def _read_json(path: str | Path) -> object:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of too many digits
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -288,10 +288,13 @@ class ResultSet:
     def _from_dict(cls, d: object) -> ResultSet:
         doc = _decode(_Document, d, "results")
         rs = cls(meta=doc.meta, symmetry_reports=list(doc.symmetry_reports))
-        for r in doc.records:
-            phi = Parameters(r.gammas, r.betas)
-            record = DepthRecord(r.depth, phi, r.f_star, r.alpha, r.nfev, r.strategy, r.converged)
-            rs.add(r.instance, record)
+        for i, r in enumerate(doc.records):
+            try:
+                phi = Parameters(r.gammas, r.betas)
+                record = DepthRecord(r.depth, phi, r.f_star, r.alpha, r.nfev, r.strategy, r.converged)
+                rs.add(r.instance, record)
+            except ValueError as exc:
+                raise ConfigError(f"results.records[{i}]: {exc}") from None
         return rs
 
     def save(self, path: str | Path) -> None:
@@ -314,6 +317,9 @@ def run_experiment(cfg: ExperimentConfig) -> ResultSet:
     config seed and the instance/strategy positions.
     """
     graphs = [(spec.instance_id, spec.build()) for spec in cfg.instances]
+    for instance_id, g in graphs:
+        if g.m == 0:
+            raise ConfigError(f"instance {instance_id} has no edges: C_max must be >= 1, got 0")
     rs = ResultSet(
         meta={
             "config": cfg.to_dict(),

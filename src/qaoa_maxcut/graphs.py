@@ -229,14 +229,18 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    """Parse the edge-list text format written by `write_edge_list`."""
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing 'n m' header")
-    bad = next((t for t in tokens if not t.isdecimal()), None)
-    if bad is not None:
-        raise ValueError(f"{path}: expected non-negative integers, found {bad!r}")
-    n, m, *ends = map(int, tokens)
-    if len(ends) != 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, found {len(ends) // 2}")
-    return Graph(n=n, edges=tuple(zip(ends[::2], ends[1::2])))
+    """Parse the edge-list text format written by `write_edge_list`. Any
+    error, from reading the text to building the graph, names the file."""
+    try:
+        tokens = Path(path).read_text().split()
+        if len(tokens) < 2:
+            raise ValueError("missing 'n m' header")
+        bad = next((t for t in tokens if not t.isdecimal()), None)
+        if bad is not None:
+            raise ValueError(f"expected non-negative integers, found {bad!r}")
+        n, m, *ends = map(int, tokens)
+        if len(ends) != 2 * m:
+            raise ValueError(f"expected {m} edges, found {len(ends) // 2}")
+        return Graph(n=n, edges=tuple(zip(ends[::2], ends[1::2])))
+    except ValueError as exc:  # text that is not UTF-8 and int()'s digit limit included
+        raise ValueError(f"{path}: {exc}") from None

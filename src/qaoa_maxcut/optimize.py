@@ -7,10 +7,12 @@ when the package loads: code that only simulates, such as the `landscape`,
 
 The gradient is by central finite differences, 2 probes per coordinate, all
 counted in nfev. Each L-BFGS-B request is the value and the gradient at one
-point, built once as rows: the point, then its probes. An objective may
-carry a `prefetch` attribute, which gets each request's rows, the point and
-then its probes; the objective is then called on each row in that order, so
-the counts, the best point and the errors do not depend on `prefetch`.
+point, built once as rows: the point, then its probe pairs in coordinate
+order. The optimizer knows nothing of what the coordinates mean; an
+objective that can share work between rows orders that work itself. An
+objective may carry a `prefetch` attribute, which gets each request's rows;
+the objective is then called on each row in that order, so the counts, the
+best point and the errors do not depend on `prefetch`.
 """
 
 from __future__ import annotations
@@ -134,35 +136,24 @@ class OptimizationError(RuntimeError):
         self.best_f = best_f
 
 
-def _probes(
-    x: np.ndarray, lower: np.ndarray, upper: np.ndarray, step: float
-) -> tuple[list[int], np.ndarray]:
-    """The request at x, in calling order: row 0 is x, and rows 2i + 1 and
-    2i + 2 are x + h e_k and x - h e_k for the i-th of the probed
-    coordinates k, which are returned with the rows."""
+def _probes(x: np.ndarray, lower: np.ndarray, upper: np.ndarray, step: float) -> np.ndarray:
+    """The request at x, in calling order: row 0 is x, and rows 2k + 1 and
+    2k + 2 are x + h e_k and x - h e_k, coordinate by coordinate."""
     # Probes are clamped into the box, so every counted evaluation is at a
     # feasible point; at an active bound this degrades to a one-sided
     # difference over the actual spread.
-    # For the flat layout [gammas, betas] the coordinates are probed layer by
-    # layer from the last, so each probe shares every earlier layer with the
-    # point before it and an evaluator resumes from there. The values, and so
-    # the gradient, do not depend on the order; any length is visited whole.
-    p = max(1, x.size // 2)
-    order = sorted(range(x.size), key=lambda i: -(i % p))
     rows = np.repeat(x[None], 1 + 2 * x.size, axis=0)
-    for i, k in enumerate(order, 1):
-        rows[2 * i - 1, k] = min(x[k] + step, upper[k])
-        rows[2 * i, k] = max(x[k] - step, lower[k])
-    return order, rows
+    for k in range(x.size):
+        rows[2 * k + 1, k] = min(x[k] + step, upper[k])
+        rows[2 * k + 2, k] = max(x[k] - step, lower[k])
+    return rows
 
 
-def _fd_gradient(order: list[int], rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _fd_gradient(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The central-difference gradient from a request `_probes` returned and
     the objective's values at its rows."""
     # A probe pair differs in one coordinate, so its difference sums to the spread exactly.
-    grad = np.empty(rows.shape[1])
-    grad[order] = (values[1::2] - values[2::2]) / (rows[1::2] - rows[2::2]).sum(axis=1)
-    return grad
+    return (values[1::2] - values[2::2]) / (rows[1::2] - rows[2::2]).sum(axis=1)
 
 
 def maximize_flat(
@@ -183,8 +174,9 @@ def maximize_flat(
     non-degenerate in every coordinate (the rule `Bounds` applies), a start
     outside it, or a gradient step that moves no angle at the box's largest
     bound raises ValueError before `fun` is called. A `fun.prefetch` gets
-    each request's rows, the point and then its probes, one flat point per
-    row, and `fun` is then called on each row in that order.
+    each request's rows, the point and then its probe pairs in coordinate
+    order, one flat point per row, and `fun` is then called on each row in
+    that order.
     """
     from scipy.optimize import minimize  # deferred: see the module docstring
 
@@ -216,7 +208,7 @@ def maximize_flat(
     def neg_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         # With jac=True scipy asks for both at once, so one request serves them.
         nonlocal nfev, best_x, best_f
-        order, rows = _probes(x, lower, upper, step)
+        rows = _probes(x, lower, upper, step)
         if prefetch is not None:
             prefetch(rows)
         values = np.empty(len(rows))
@@ -228,7 +220,7 @@ def maximize_flat(
                 raise OptimizationError(message, nfev, best_x, best_f)
             if value > best_f:
                 best_f, best_x = value, y.copy()
-        return -values[0], -_fd_gradient(order, rows, values)
+        return -values[0], -_fd_gradient(rows, values)
 
     res = minimize(
         neg_and_grad,

@@ -1,11 +1,12 @@
 """Depth-progressive parameter initialization strategies and their runners.
 
-Every runner produces one DepthRecord per depth 1..max_depth from the same
-depth loop, `_progress`, and differs only in its start policy: the starts it
-optimizes from at each depth, and whether earlier layers stay frozen. The
-bilinear strategy extrapolates the next depth's start from the previous two
-optima and performs a single optimization per depth; parameters fixing and
-layerwise are multistart baselines whose nfev totals sum over all trials.
+Every runner produces its DepthRecords from the same depth loop, `_progress`,
+and differs only in its start policy: the starts it optimizes from at each
+depth. A start of fewer layers than its depth keeps the earlier layers
+frozen at the previous optimum. The bilinear strategy extrapolates the next
+depth's start from the previous two optima and performs a single
+optimization per depth; parameters fixing and layerwise are multistart
+baselines whose nfev totals sum over all trials.
 """
 
 from __future__ import annotations
@@ -121,63 +122,66 @@ def _stack(frozen: Parameters | None, layers: Parameters) -> Parameters:
     return Parameters(gammas=frozen.gammas + layers.gammas, betas=frozen.betas + layers.betas)
 
 
+def _objective(
+    evaluator: ExpectationEvaluator, frozen: Parameters | None
+) -> Callable[[Parameters], float]:
+    """F at the frozen layers followed by the optimized ones, with a
+    `prefetch` that advances each request's rows behind the frozen layers."""
+
+    def objective(phi: Parameters) -> float:
+        return evaluator.expectation(_stack(frozen, phi))
+
+    def prefetch(angles: np.ndarray) -> None:
+        if frozen is not None:
+            front = np.array((frozen.gammas, frozen.betas))
+            front = np.broadcast_to(front, (len(angles), *front.shape))
+            angles = np.concatenate((front, angles), axis=2)
+        advance_probes(evaluator, angles)
+
+    objective.prefetch = prefetch
+    return objective
+
+
 def _progress(
     g: Graph,
     cfg: StrategyConfig,
     label: str,
     starts: Callable[[int, list[DepthRecord]], list[Parameters]],
-    newest_only: bool = False,
-    first: int = 1,
 ) -> list[DepthRecord]:
     """The depth-progressive loop shared by every strategy: one DepthRecord
-    per depth first..max_depth.
+    per depth 1..max_depth whose start policy `starts(p, records so far)`
+    returns any start.
 
-    At each depth p, optimize from every start that the policy
-    `starts(p, records so far)` returns; the best objective wins, ties go to
-    the earliest start, and nfev sums over all starts. With `newest_only`,
-    the starts hold only the newest layer and the previous depth's optimum
+    At each depth p, optimize from every start; the best objective wins,
+    ties go to the earliest start, and nfev sums over all starts. A start
+    with fewer than p layers extends the previous depth's optimum, which
     stays frozen in front of it.
     """
     evaluator = ExpectationEvaluator(g)
     if evaluator.c_max < 1:
         raise ValueError(f"graph has no edges: C_max must be >= 1, got {evaluator.c_max}")
     records: list[DepthRecord] = []
-    for p in range(first, cfg.max_depth + 1):
-        frozen = records[-1].phi_star if newest_only and records else None
-
-        def objective(phi: Parameters) -> float:
-            return evaluator.expectation(_stack(frozen, phi))
-
-        def prefetch(angles: np.ndarray) -> None:
-            # A point and then its gradient probes, (1 + 4 per varied layer, 2, p)
-            # rows of the layers the optimizer varies, behind the frozen layers.
-            if frozen is not None:
-                front = np.array((frozen.gammas, frozen.betas))
-                front = np.broadcast_to(front, (len(angles), *front.shape))
-                angles = np.concatenate((front, angles), axis=2)
-            advance_probes(evaluator, angles)
-
-        objective.prefetch = prefetch
-
+    for p in range(1, cfg.max_depth + 1):
         best: OptResult | None = None
         nfev_total = 0
         for phi0 in starts(p, records):
-            res = maximize_bounded(objective, phi0, cfg.bounds, cfg.optimizer)
+            frozen = records[-1].phi_star if phi0.p < p else None
+            res = maximize_bounded(_objective(evaluator, frozen), phi0, cfg.bounds, cfg.optimizer)
             nfev_total += res.nfev
             if best is None or res.f_star > best.f_star:
-                best = res
-        assert best is not None
-        records.append(
-            DepthRecord(
-                depth=p,
-                phi_star=_stack(frozen, best.phi_star),
-                f_star=best.f_star,
-                alpha=best.f_star / evaluator.c_max,
-                nfev_total=nfev_total,
-                strategy=label,
-                converged=best.converged,
+                best = replace(res, phi_star=_stack(frozen, res.phi_star))
+        if best is not None:
+            records.append(
+                DepthRecord(
+                    depth=p,
+                    phi_star=best.phi_star,
+                    f_star=best.f_star,
+                    alpha=best.f_star / evaluator.c_max,
+                    nfev_total=nfev_total,
+                    strategy=label,
+                    converged=best.converged,
+                )
             )
-        )
     return records
 
 
@@ -207,32 +211,24 @@ def _halton(count: int, d: int, seed: list[int]) -> np.ndarray:
     return np.array(columns).T
 
 
+def _multistart(p: int, cfg: StrategyConfig, unit: np.ndarray) -> list[Parameters]:
+    """p-layer starts: the zero point clamped into the box, then each row of
+    `unit`, a point of [0, 1)^2p, scaled into the box."""
+    lower, upper = cfg.bounds.box(p)
+    zero = clamp(Parameters(gammas=(0.0,) * p, betas=(0.0,) * p), cfg.bounds)
+    return [zero] + [Parameters.from_array(u * (upper - lower) + lower) for u in unit]
+
+
 def _exhaustion_starts(p: int, cfg: StrategyConfig) -> list[Parameters]:
-    """One start at the zero corner, the rest a seeded low-discrepancy set."""
-    b = cfg.bounds
-    corner = clamp(Parameters(gammas=(0.0,) * p, betas=(0.0,) * p), b)
-    starts = [corner]
-    if cfg.trials > 1:
-        lower, upper = b.box(p)
-        points = _halton(cfg.trials - 1, 2 * p, [cfg.rng_seed, p]) * (upper - lower) + lower
-        starts.extend(Parameters.from_array(x) for x in points)
-    return starts
+    """The zero corner, then a seeded low-discrepancy set: `trials` in all."""
+    return _multistart(p, cfg, _halton(cfg.trials - 1, 2 * p, [cfg.rng_seed, p]))
 
 
 def _new_layer_starts(p: int, cfg: StrategyConfig, random_count: int) -> list[Parameters]:
-    """Depth-1 starts for the new layer (gamma_p, beta_p): (0, 0) first, then
+    """Starts for the new layer (gamma_p, beta_p): (0, 0) first, then
     `random_count` uniform draws over the box, seeded per depth."""
-    b = cfg.bounds
-    zero = clamp(Parameters(gammas=(0.0,), betas=(0.0,)), b)
-    rng = np.random.default_rng([cfg.rng_seed, p])
-    draws = [
-        Parameters(
-            gammas=(rng.uniform(b.gamma_min, b.gamma_max),),
-            betas=(rng.uniform(b.beta_min, b.beta_max),),
-        )
-        for _ in range(random_count)
-    ]
-    return [zero] + draws
+    draws = np.random.default_rng([cfg.rng_seed, p]).random((random_count, 2))
+    return _multistart(1, cfg, draws)
 
 
 def _fixing_starts(prev: Parameters, p: int, cfg: StrategyConfig) -> list[Parameters]:
@@ -248,9 +244,9 @@ def base_exhaustion(g: Graph, p: int, cfg: StrategyConfig) -> DepthRecord:
         raise ValueError(f"base exhaustion is for depths 1 and 2, got {p}")
 
     def starts(depth: int, records: list[DepthRecord]) -> list[Parameters]:
-        return _exhaustion_starts(depth, cfg)
+        return _exhaustion_starts(depth, cfg) if depth == p else []
 
-    return _progress(g, replace(cfg, max_depth=p), "exhaustion", starts, first=p)[0]
+    return _progress(g, replace(cfg, max_depth=p), "exhaustion", starts)[0]
 
 
 def run_bilinear(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
@@ -293,7 +289,7 @@ def run_layerwise(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:
             return _exhaustion_starts(1, cfg)
         return _new_layer_starts(p, cfg, cfg.trials)
 
-    return _progress(g, cfg, "layerwise", starts, newest_only=True)
+    return _progress(g, cfg, "layerwise", starts)
 
 
 def run_linear_ramp(g: Graph, cfg: StrategyConfig) -> list[DepthRecord]:

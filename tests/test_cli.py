@@ -278,7 +278,7 @@ class TestBadInputs:
             tmp_path, dict(CONFIG, instances=[{"kind": "erdos_renyi", "n": 5, "prob": 0.0, "seed": 0}])
         )
         assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
-        assert_one_error_line(capsys, "C_max must be >= 1")
+        assert_one_error_line(capsys, "instance er0-n5-s0 has no edges", "C_max must be >= 1")
 
     def test_instance_without_n_names_the_key(self, tmp_path, capsys):
         path = self.write(
@@ -442,7 +442,9 @@ class TestBadInputs:
                 },
                 "results.symmetry_reports[0].samples must be an integer",
             ),
-            (one_row(depth=2), "record depth 2 != parameter depth 1"),
+            (one_row(depth=2), "results.records[0]: record depth 2 != parameter depth 1"),
+            (one_row(gammas=[], betas=[]), "results.records[0]: depth must be >= 1"),
+            ({"meta": {}, "records": [ROW, ROW]}, "results.records[1]: duplicate record key"),
         ],
         ids=[
             "empty-document",
@@ -459,6 +461,8 @@ class TestBadInputs:
             "list-meta",
             "string-samples",
             "depth-disagrees-with-angles",
+            "no-angles",
+            "duplicate-key",
         ],
     )
     def test_malformed_results_fail_cleanly(self, doc, fragment, tmp_path, capsys):
@@ -471,6 +475,26 @@ class TestBadInputs:
         path.write_text("{not json")
         assert run_cli("table", "--results", path) == 1
         assert_one_error_line(capsys, f"{path}: not valid JSON")
+
+    @pytest.mark.parametrize(
+        "command, template",
+        [
+            (["run", "--config"], '{{"trials": {}}}'),
+            (["table", "--results"], '{{"meta": {{}}, "records": [{{"nfev": {}}}]}}'),
+            (["landscape", "--edges"], "2 1\n0 {}\n"),
+        ],
+        ids=["run-config", "table-results", "landscape-edges"],
+    )
+    @pytest.mark.parametrize("case", ["utf-16", "5001-digit-integer"])
+    def test_an_unreadable_file_names_itself(self, command, template, case, tmp_path, capsys):
+        if case == "utf-16":
+            content = b"\xff\xfe" + template.format(1).encode("utf-16-le")
+        else:
+            content = template.format("1" + "0" * 5000).encode()
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert run_cli(*command, path, "--out", tmp_path / "out") == 1
+        assert_one_error_line(capsys, f"{path}: ")
 
     @pytest.mark.parametrize(
         "text, token",

@@ -267,6 +267,16 @@ class TestRunExperiment:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
+    def test_an_edgeless_instance_fails_by_name_before_any_run(self, monkeypatch):
+        def never(g, cfg):
+            pytest.fail("a strategy ran before every instance was checked")
+
+        monkeypatch.setitem(STRATEGIES, "bilinear", never)
+        edgeless = InstanceSpec(kind="erdos_renyi", n=4, prob=0.0, seed=0)
+        cfg = small_config(instances=(InstanceSpec(kind="regular", n=10, degree=3, seed=7), edgeless))
+        with pytest.raises(ConfigError, match="instance er0-n4-s0 has no edges"):
+            run_experiment(cfg)
+
     def test_symmetry_reports_included_when_requested(self):
         rs = run_experiment(small_config(max_depth=1, trials=2, symmetry_samples=3))
         assert len(rs.symmetry_reports) == 6

@@ -77,9 +77,9 @@ def fd_gradient(g: Graph, phi: Parameters, step: float = DEFAULT_GRADIENT_STEP) 
     ev = ExpectationEvaluator(g)
     x = phi.to_array()
     unbounded = np.full(x.size, np.inf)
-    order, rows = _probes(x, -unbounded, unbounded, step)
+    rows = _probes(x, -unbounded, unbounded, step)
     values = [ev.expectation(Parameters.from_array(y)) for y in rows]
-    return _fd_gradient(order, rows, np.array(values))
+    return _fd_gradient(rows, np.array(values))
 
 
 def k2_closed_form(gamma: float, beta: float) -> float:
@@ -562,8 +562,12 @@ class TestPrefixReuse:
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_gradient_probes_resume_from_the_base_point(self, p, monkeypatch):
-        # After an objective call at x, each of the 4 probes of layer j
-        # (1-based) computes layers j..p: 4 * (p + (p - 1) + ... + 1) in all.
+        # After an objective call at x, probes called one at a time in
+        # coordinate order (gammas, then betas) resume from the call before
+        # each: x + h e_k shares the layers before both k's and the previous
+        # probe's, x - h e_k those before k's. That is fewer layers than with
+        # no reuse, 4p probes of p layers each, though more than probing
+        # layer by layer from the last would compute, 2p(p + 1).
         ev = ExpectationEvaluator(gen_erdos_renyi(6, 0.6, 4))
         x = random_phi(np.random.default_rng(43), p).to_array()
 
@@ -581,9 +585,10 @@ class TestPrefixReuse:
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
         # Row 0 is x again, whose value the evaluator kept.
-        order, rows = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)
-        _fd_gradient(order, rows, np.array([objective(y) for y in rows]))
-        assert len(calls) == 2 * p * (p + 1)
+        rows = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)
+        _fd_gradient(rows, np.array([objective(y) for y in rows]))
+        assert len(calls) == {2: 14, 4: 46, 8: 158}[p]
+        assert len(calls) < 4 * p * p
 
     def test_a_call_that_raises_leaves_no_stale_prefix(self, monkeypatch):
         g = gen_erdos_renyi(6, 0.6, 5)
@@ -608,8 +613,11 @@ class TestPrefixReuse:
 
 
 def probe_rows(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The optimizer's gradient probes at x, one per row, in calling order."""
-    return _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1][1:]
+    """The optimizer's gradient probes at x, one per row, with the pairs
+    taken layer by layer from the last: the stacks these tests pin."""
+    pairs = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1:].reshape(-1, 2, x.size)
+    p = max(1, x.size // 2)
+    return pairs[sorted(range(x.size), key=lambda k: -(k % p))].reshape(-1, x.size)
 
 
 class TestAdvanceProbes:
@@ -860,7 +868,7 @@ class TestAdvanceProbes:
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
-        probes = _probes(x, -unbounded, unbounded, DEFAULT_GRADIENT_STEP)[1][1:]
+        probes = probe_rows(x, -unbounded, unbounded)
         advance_probes(ev, probes.reshape(len(probes), 2, p))
         assert sum(rows) == 2 * p * (p + 1)
         assert len(rows) == p
@@ -1084,7 +1092,7 @@ from qaoa_maxcut.optimize import DEFAULT_GRADIENT_STEP, GENERAL_BOUNDS, _probes
 p = 3
 lower, upper = GENERAL_BOUNDS.box(p)
 x = np.random.default_rng(3).uniform(lower, upper)
-rows = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1][1:].reshape(-1, 2, p)
+rows = _probes(x, lower, upper, DEFAULT_GRADIENT_STEP)[1:].reshape(-1, 2, p)
 g = gen_erdos_renyi(15, 0.5, 2)
 for cpus in (2, 1):
     simulator._cpus = lambda: cpus
