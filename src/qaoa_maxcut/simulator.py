@@ -13,17 +13,26 @@ returns the full 2^n state, mirrored from the half, in a new array.
 
 Every evaluation runs through one routine, the evaluator's `_advance`, on a
 stack of points, one row each; `ExpectationEvaluator` says which callers
-hand it which stacks, and what it keeps of them. Row 0 becomes the last
-call: it resumes after the leading layers it shares bit for bit with the
-last call, and its prefix states are stored as the loop computes them.
-Every other row resumes from them, and the rows run through the one layer
-loop in blocks of half states, one per row, with per-row angles, of at most
-about 1 MiB of states and scratch each: up to 64 rows at n = 10, one from
-n = 16. The mixer mixes each run of rows with a bit-equal angle as one flat
-row, by scalar coefficients; a block of several rows of two-lane size
-(below) takes per-row coefficient arrays. A row gets the same operations on
-the same bits whatever the block's size, so every value is bit-identical to
-a one-row call's.
+hand it which stacks, and what it keeps of them. Each distinct row runs
+once: a row bit-equal to an earlier one, such as a probe clamped back onto
+its point, takes that row's value. Row 0 becomes the last call: it resumes
+after the leading layers it shares bit for bit with the last call, and its
+prefix states are stored as the loop computes them. Every other row resumes
+from them, and the rows run through the one layer loop in blocks of half
+states, one per row, with per-row angles, of at most about 1 MiB of states
+and scratch each: up to 64 rows at n = 10, one from n = 16. The mixer mixes
+each run of rows with a bit-equal angle by scalar coefficients, and skips a
+run whose angle is +-0, the identity; a block of several rows of two-lane
+size (below) takes per-row coefficient arrays. A row gets the same
+operations on the same bits whatever the block's size, so every value is
+bit-identical to a one-row call's.
+
+A mixer pass is three ufunc calls on three views of the working arrays:
+the pairs of the pass with each pair swapped, the pairs, and their place in
+the scratch. The evaluator builds the views of every pass once for each
+range of rows a run or block takes, on first use, and keeps them until the
+working arrays grow; rebuilding them, two reshapes and a reversed slice per
+pass, was about 10 of the 40 us of a one-row mixer at n = 10.
 
 The loop computes in rows of one pair of working arrays, the states and a
 scratch, which serves in turn as the phase gather buffer, the mixer's
@@ -228,28 +237,64 @@ def _phase_kernel(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out) -
     _in_two(_phase, low, high)
 
 
-def _pass(view: np.ndarray, swapped: np.ndarray, c, s) -> None:
-    """Each pair (a, b) = (view[..., 0, j], view[..., 1, j]) becomes
-    c * (a, b) + s * (b, a); `swapped`, of the view's shape, is overwritten."""
-    np.multiply(view[..., ::-1, :], s, out=swapped)
-    view *= c
-    view += swapped
-
-
-def _passes(block: np.ndarray, scratch: np.ndarray, c, s, qubits: int) -> None:
-    """`_pass` for each of the qubits 0..qubits-1 of each row of `block`,
-    whose pairs are amplitudes 2^q apart. In rows longer than a tile, the
-    qubits below _TILE_QUBITS pair amplitudes within one tile, and run one
-    tile at a time; the others run over the whole rows."""
-    low, tile = 0, 1 << _TILE_QUBITS
+def _pass_views(block: np.ndarray, scratch: np.ndarray, qubits: int) -> list[tuple]:
+    """(partner, view, swapped) for the pass on each of the qubits
+    0..qubits-1 of each row of `block`, in order: `view` pairs amplitudes
+    2^q apart as (view[..., 0, j], view[..., 1, j]), `partner` is the view
+    with each pair swapped, and `swapped` the view's place in `scratch`. In
+    rows longer than a tile, the qubits below _TILE_QUBITS pair amplitudes
+    within one tile, and run one tile at a time; the others run over the
+    whole rows."""
+    views, low, tile = [], 0, 1 << _TILE_QUBITS
     if block.shape[-1] > tile:
         low = min(qubits, _TILE_QUBITS)
         for first in range(0, block.shape[-1], tile):
             part = np.s_[..., first : first + tile]
-            _passes(block[part], scratch[part], c, s, low)
+            views += _pass_views(block[part], scratch[part], low)
     for q in range(low, qubits):
         shape = (len(block), -1, 2, 1 << q)
-        _pass(block.reshape(shape), scratch.reshape(shape), c, s)
+        view = block.reshape(shape)
+        views.append((view[..., ::-1, :], view, scratch.reshape(shape)))
+    return views
+
+
+def _mixer_views(block: np.ndarray, scratch: np.ndarray, n: int) -> list[tuple]:
+    """The views of every mixer pass on `block`, a (rows, 2^(n-1)) array of
+    low halves: `_pass_views` for qubits 0..n-2, then qubit n-1, which pairs
+    z with z + 2^(n-1), whose amplitude is that of its complement
+    2^(n-1) - 1 - z: the row reversed. Every view is 4-D, so per-row
+    coefficients of shape (rows, 1, 1, 1) broadcast over each."""
+    rows = block[:, None, None]
+    return _pass_views(block, scratch, n - 1) + [(rows[..., ::-1], rows, scratch[:, None, None])]
+
+
+def _split_views(block: np.ndarray, scratch: np.ndarray, n: int) -> tuple:
+    """The views of the split mixer on the one row of `block`: a list of
+    stages, each a (low, high) pair of `_pass_views` lists whose passes run
+    at once, the high one on the helper thread, then the (partner, view,
+    swapped) of qubit n-1 for each half, whose partners lie in the other
+    half."""
+    m = block.size // 2
+    halves = np.s_[:, :m], np.s_[:, m:]
+    # Qubits 0..n-3 pair amplitudes within each half of the row.
+    within = tuple(_pass_views(block[half], scratch[half], n - 2) for half in halves)
+    # Qubit n-2 pairs z in one half with z + m in the other: split the pairs.
+    k = m // 2
+    view, swapped = block.reshape(2, m), scratch.reshape(2, m)
+    across = tuple(
+        [(view[::-1, part], view[:, part], swapped[:, part])] for part in (np.s_[:k], np.s_[k:])
+    )
+    reverse = block[:, ::-1]
+    return [within, across], tuple((reverse[h], block[h], scratch[h]) for h in halves)
+
+
+def _passes(views: list[tuple], c, s) -> None:
+    """Each pass of `views` from `_pass_views`: every pair (a, b) becomes
+    c * (a, b) + s * (b, a), its swapped image overwritten first."""
+    for partner, view, swapped in views:
+        np.multiply(partner, s, out=swapped)
+        view *= c
+        view += swapped
 
 
 def _combine(state: np.ndarray, scratch: np.ndarray, c) -> None:
@@ -268,58 +313,66 @@ def _runs(betas):
             first = stop
 
 
-def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray) -> None:
+def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray, views: dict) -> None:
     """In place: apply exp(-i * betas[r] * X) to each of the n qubits of row
     r of `block`, a (rows, 2^(n-1)) array of flip-symmetric states, each
     given as its low half. `scratch`, an array of the block's shape, is
-    overwritten."""
+    overwritten. `views` holds the `_mixer_views` of rows first..stop of the
+    block under the key (first, stop), and the `_split_views` of its one row
+    under "split"; those the call needs and does not find are built and
+    added, so one dict must serve only blocks that start on the same row of
+    the same arrays."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
     # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-block
     # ops. One scratch serves every pass; a fresh one per pass raised the
     # peak memory at n = 20 by a state's size. math, not np.cos: numpy's
     # vector cos may round differently.
     if len(betas) > 1 and block.shape[1] >= _LANE_MIN_AMPLITUDES:
-        # Rows of two-lane size take per-row coefficients: (rows, 1) for
-        # whole rows, (rows, 1, 1, 1) for the passes' 4-D views. Runs of
-        # scalars, as below, made the bilinear-n14 benchmark 8% slower
-        # (shared 2-CPU host, slower in 18 of 20 alternating pairs).
-        c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None]
-        s = np.array([-1j * math.sin(b) for b in betas])[:, None]
-        _passes(block, scratch, c[..., None, None], s[..., None, None], n - 1)
-        np.multiply(block[:, ::-1], s, out=scratch)
-        _combine(block, scratch, c)
+        # Rows of two-lane size take per-row coefficients of shape (rows, 1,
+        # 1, 1). Runs of scalars, as below, made the bilinear-n14 benchmark
+        # 8% slower (shared 2-CPU host, slower in 18 of 20 alternating pairs).
+        c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None, None, None]
+        s = np.array([-1j * math.sin(b) for b in betas])[:, None, None, None]
+        _passes(_views(views, block, scratch, n, 0, len(block)), c, s)
         return
+    # A beta of +-0 leaves every row as it is: at c = 1.0, s = -0j each pass
+    # only adds signed zeros. So its run of rows, or one row, is skipped.
     if not _split(block):
-        # Each run of rows that share a beta, as one flat row: numpy
-        # multiplies by a Python scalar 1.7-2.4 times as fast as by a
-        # (rows, 1, 1, 1) array.
+        # Each run of rows that share a beta, by Python scalars: numpy
+        # multiplies by a scalar 1.7-2.4 times as fast as by a (rows, 1, 1,
+        # 1) array.
         for first, stop, beta in _runs(betas):
-            c, s = math.cos(beta), -1j * math.sin(beta)
-            run, work = block[first:stop], scratch[first:stop]
-            _passes(run.reshape(1, -1), work.reshape(1, -1), c, s, n - 1)
-            # Qubit n-1 pairs z with z + 2^(n-1), whose amplitude is that of
-            # its complement 2^(n-1) - 1 - z: the row reversed.
-            np.multiply(run[:, ::-1], s, out=work)
-            _combine(run, work, c)
+            if beta != 0.0:
+                run = _views(views, block, scratch, n, first, stop)
+                _passes(run, math.cos(beta), -1j * math.sin(beta))
         return
     # The same operations on two disjoint halves of every pass of the one
     # row, one half on the helper thread, so each amplitude gets the same
     # bits as above. The last pass leaves each half with the thread that
     # gathers its next phases and squares its probabilities.
-    c, s = math.cos(betas[0]), -1j * math.sin(betas[0])
-    m = block.size // 2
-    lo, hi = np.s_[:, :m], np.s_[:, m:]
-    # Qubits 0..n-3 pair amplitudes within each half of the row.
-    _in_two(_passes, (block[lo], scratch[lo], c, s, n - 2), (block[hi], scratch[hi], c, s, n - 2))
-    # Qubit n-2 pairs z in one half with z + m in the other: split the pairs.
-    k = m // 2
-    view, swapped = block.reshape(2, m), scratch.reshape(2, m)
-    _in_two(_pass, (view[:, :k], swapped[:, :k], c, s), (view[:, k:], swapped[:, k:], c, s))
+    beta = float(betas[0])
+    if beta == 0.0:
+        return
+    c, s = math.cos(beta), -1j * math.sin(beta)
+    if "split" not in views:
+        views["split"] = _split_views(block, scratch, n)
+    stages, (low, high) = views["split"]
+    for lows, highs in stages:
+        _in_two(_passes, (lows, c, s), (highs, c, s))
     # Qubit n-1 reads each half's partner from the other half, so every
     # partner is read before any amplitude changes.
-    reverse = block[:, ::-1]
-    _in_two(np.multiply, (reverse[lo], s, scratch[lo]), (reverse[hi], s, scratch[hi]))
-    _in_two(_combine, (block[lo], scratch[lo], c), (block[hi], scratch[hi], c))
+    _in_two(np.multiply, (low[0], s, low[2]), (high[0], s, high[2]))
+    _in_two(_combine, (low[1], low[2], c), (high[1], high[2], c))
+
+
+def _views(views: dict, block: np.ndarray, scratch: np.ndarray, n: int, first: int, stop: int):
+    """views[(first, stop)], the `_mixer_views` of rows first..stop of
+    `block`, built on first use."""
+    key = (first, stop)
+    got = views.get(key)
+    if got is None:
+        got = views[key] = _mixer_views(block[first:stop], scratch[first:stop], n)
+    return got
 
 
 def _probabilities(half: np.ndarray, low: np.ndarray, mirror: np.ndarray) -> None:
@@ -350,6 +403,11 @@ _PROBE_BLOCK_BYTES = 1 << 20
 # series read 1.01-1.10 at n = 12, so the lanes start at n = 13.
 _LANE_MIN_AMPLITUDES = 1 << 12
 
+# The bits of a float64 but its sign, as an int64, and those of infinity: a
+# larger magnitude is a NaN.
+_MAGNITUDE = (1 << 63) - 1
+_INFINITY = 0x7FF0000000000000
+
 
 class ExpectationEvaluator:
     """Repeated expectation evaluation on one graph.
@@ -370,6 +428,9 @@ class ExpectationEvaluator:
     none, so it keeps none. `expectation` returns a kept value at bit-equal
     angles as it is, and the last call stays as it was.
 
+    Within a stack, each distinct row runs once: the values of bit-equal
+    rows are one kept value.
+
     Consecutive stacks mostly share leading layers: each finite-difference
     probe moves one angle, and the layerwise strategy freezes every layer
     but the last. So row 0 resumes from the deepest layer whose
@@ -380,7 +441,9 @@ class ExpectationEvaluator:
     docstring), so the stored ones cost up to (p-1) * 2^(n-1) * 16 bytes at
     the deepest p seen, 56 MiB at n = 20, p = 8. Calls read and write these
     and the evaluator's working arrays, so an evaluator must not be shared
-    between threads.
+    between threads. The views of the mixer's passes on those arrays are
+    kept per range of rows, built on first use and dropped when the arrays
+    grow (see the module docstring).
     """
 
     def __init__(self, g: Graph):
@@ -405,20 +468,40 @@ class ExpectationEvaluator:
         # mmap threshold, and with it the cost of later allocations.
         self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
         self._scratch = np.empty_like(self._states)
+        # The mixer's views of the rows of these arrays: for each first row of
+        # a block, the `views` dict of `_mixer_kernel`. Dropped when the
+        # arrays grow.
+        self._views: dict[int, dict] = {}
         # The values of the last stack computed with values, keyed by the
         # bytes of their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
 
     @staticmethod
-    def _shared_layers(angles: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    def _shared_layers(angles: np.ndarray, reference: np.ndarray):
         """How many leading layers of the (gammas, betas) array `angles`, or
         of each array of a stack of them, are bit-equal to those of the
         (gammas, betas) array `reference`: at most one fewer than either
-        depth."""
-        m = min(angles.shape[-1], reference.shape[1]) - 1
-        new, old = angles[..., :m], reference[:, :m]
-        same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
-        return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
+        depth. A layer with a NaN angle is never shared."""
+        if angles.ndim == 3:
+            m = min(angles.shape[-1], reference.shape[1]) - 1
+            new, old = angles[..., :m], reference[:, :m]
+            same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
+            return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
+        # One array by Python ints: ten numpy calls on a handful of angles
+        # took 6-12 us, a tenth of a one-row evaluation at n = 10.
+        (gammas, betas), (old_gammas, old_betas) = (
+            a.view(np.int64).tolist() for a in (angles, reference)
+        )
+        j, m = 0, min(len(gammas), len(old_gammas)) - 1
+        while (
+            j < m
+            and gammas[j] == old_gammas[j]
+            and betas[j] == old_betas[j]
+            and gammas[j] & _MAGNITUDE <= _INFINITY
+            and betas[j] & _MAGNITUDE <= _INFINITY
+        ):
+            j += 1
+        return j
 
     def _advance(self, angles: np.ndarray, value: bool = True) -> None:
         """Run the (gammas, betas) arrays angles[r] of a (k >= 1, 2, p) stack
@@ -427,14 +510,20 @@ class ExpectationEvaluator:
         Should the loop raise, nothing is kept and the stored states are
         those of at most the layers row 0 shares with the last call."""
         row = self._cut_index.size
+        # Each distinct row runs once, the first of its bit-equal rows; a probe
+        # clamped back onto its point takes that point's value.
+        places: dict[bytes, int] = {}
+        for r, key in enumerate(a.tobytes() for a in angles):
+            places.setdefault(key, r)
+        distinct = list(places.values())
         # Two lanes for two rows or more after row 0, where a row pays for the
         # hand-off and is too small for the mixer to split: on the helper lane a
         # split would wait on itself. The size tests come first, so they make no
         # syscall.
-        small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(angles) > 2
+        small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(distinct) > 2
         lanes = 2 if small and _cpus() >= 2 else 1
         head = angles[0].copy()
-        shared = [int(self._shared_layers(head, self._angles))]
+        shared = [self._shared_layers(head, self._angles)]
         # A lone point skips an empty comparison, 6 of its 120 us at n = 10.
         if len(angles) > 1:
             shared += self._shared_layers(angles[1:], head).tolist()
@@ -445,7 +534,7 @@ class ExpectationEvaluator:
         while len(self._after) < head.shape[1] - 1:  # room for row 0's states
             self._after.append(np.empty(row, dtype=complex))
         # A stable sort puts row 0 first among the rows that share its layers.
-        order = sorted(range(len(angles)), key=shared.__getitem__)
+        order = sorted(distinct, key=shared.__getitem__)
         if lanes == 2:
             # Row 0 first and alone: a lane must not read the states it stores.
             order.remove(0)
@@ -454,6 +543,7 @@ class ExpectationEvaluator:
         if lanes * size > len(self._states):
             self._states = np.empty((lanes * size, row), dtype=complex)
             self._scratch = np.empty_like(self._states)
+            self._views = {}
         values = np.empty(len(angles))
 
         def run(rows: list[int], offset: int) -> None:
@@ -473,7 +563,7 @@ class ExpectationEvaluator:
             run(order, 0)
         self._angles = head
         if value:
-            self._kept = dict(zip((a.tobytes() for a in angles), values.tolist()))
+            self._kept = dict(zip(places, values[distinct].tolist()))
 
     def _layers(
         self, angles: np.ndarray, starts: list[int], stored: int | None, offset: int
@@ -489,6 +579,7 @@ class ExpectationEvaluator:
         the rows that start after it resume from them."""
         n, (rows, _, p) = self.graph.n, angles.shape
         states, scratch = self._states[offset:][:rows], self._scratch[offset:][:rows]
+        views = self._views.setdefault(offset, {})
         gammas, betas = angles.transpose(1, 2, 0)
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
@@ -508,7 +599,7 @@ class ExpectationEvaluator:
                 started = stop
                 block, work = states[:started], scratch[:started]
             _phase_kernel(block, self._cut_index, tables[j - first, :started], work if j else None)
-            _mixer_kernel(block, betas[j, :started], n, work)
+            _mixer_kernel(block, betas[j, :started], n, work, views)
             if store <= j < p - 1:
                 np.copyto(self._after[j], block[stored])
         return states

@@ -1,10 +1,10 @@
 """Executable checks for the symmetry and periodicity identities of the
 Max-Cut expectation landscape, plus the non-adiabatic branch harness.
 
-Each check states only its images of phi; one comparison returns the largest
-|F(phi) - F(image)| from the evaluator of a concrete graph. The identities
-are exact, so any deviation beyond roundoff indicates a simulator or
-transform bug.
+Each check states only its images of phi; one comparison runs phi and its
+images as one stack on the evaluator of a concrete graph and returns the
+largest |F(phi) - F(image)|. The identities are exact, so any deviation
+beyond roundoff indicates a simulator or transform bug.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .graphs import Graph, GraphClass, _require_count, classify, gen_erdos_renyi
 # maximize_bounded is not called here, but stays a module binding: the
 # benchmark's tracer (bench/tracing.py) wraps each module's binding of it.
 from .optimize import GENERAL_BOUNDS, OptimizerConfig, maximize_bounded  # noqa: F401
-from .simulator import ExpectationEvaluator, Parameters
+from .simulator import ExpectationEvaluator, Parameters, advance_probes
 from .strategies import DepthRecord, StrategyConfig, _fixing_starts, _progress
 
 __all__ = [
@@ -52,10 +52,13 @@ class SymmetryReport:
 
 def _deviation(ev: ExpectationEvaluator, phi: Parameters, *images) -> float:
     """max |F(phi) - F(image)| over `images`, each a (gammas, betas) pair of
-    sequences; F(phi) is evaluated first, then each image in order. A NaN
+    sequences. phi and its images run as one stack, which the evaluator
+    keeps; F(phi) is then read first, then each image in order. A NaN
     deviation makes the result NaN."""
+    points = [phi] + [Parameters(gammas=g, betas=b) for g, b in images]
+    advance_probes(ev, np.array([(q.gammas, q.betas) for q in points]))
     f = ev.expectation(phi)
-    return _largest([abs(f - ev.expectation(Parameters(gammas=g, betas=b))) for g, b in images])
+    return _largest([abs(f - ev.expectation(q)) for q in points[1:]])
 
 
 def _largest(deviations: list[float]) -> float:
