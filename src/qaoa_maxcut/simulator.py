@@ -21,18 +21,19 @@ prefix states are stored as the loop computes them. Every other row resumes
 from them, and the rows run through the one layer loop in blocks of half
 states, one per row, with per-row angles, of at most about 1 MiB of states
 and scratch each: up to 64 rows at n = 10, one from n = 16. The mixer mixes
-each run of rows with a bit-equal angle by scalar coefficients, and skips a
-run whose angle is +-0, the identity; a block of several rows of two-lane
-size (below) takes per-row coefficient arrays. A row gets the same
-operations on the same bits whatever the block's size, so every value is
-bit-identical to a one-row call's.
+each run of rows with a bit-equal angle by scalar coefficients; a block of
+several rows of two-lane size (below) takes per-row coefficient arrays. A
+row gets the same operations on the same bits whatever the block's size, so
+every value is bit-identical to a one-row call's.
 
 A mixer pass is three ufunc calls on three views of the working arrays:
 the pairs of the pass with each pair swapped, the pairs, and their place in
 the scratch. The evaluator builds the views of every pass once for each
-range of rows a run or block takes, on first use, and keeps them until the
-working arrays grow; rebuilding them, two reshapes and a reversed slice per
-pass, was about 10 of the 40 us of a one-row mixer at n = 10.
+range of rows of those arrays a run or block takes, on first use, and keeps
+them, one list per range, until the arrays grow or more than
+`_MAX_VIEW_LISTS` lists are kept; rebuilding them, two reshapes and a
+reversed slice per pass, was about 10 of the 40 us of a one-row mixer at
+n = 10.
 
 The loop computes in rows of one pair of working arrays, the states and a
 scratch, which serves in turn as the phase gather buffer, the mixer's
@@ -313,15 +314,23 @@ def _runs(betas):
             first = stop
 
 
-def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray, views: dict) -> None:
+def _mixer_kernel(
+    block: np.ndarray,
+    betas,
+    n: int,
+    scratch: np.ndarray,
+    views: dict | None = None,
+    offset: int = 0,
+) -> None:
     """In place: apply exp(-i * betas[r] * X) to each of the n qubits of row
     r of `block`, a (rows, 2^(n-1)) array of flip-symmetric states, each
     given as its low half. `scratch`, an array of the block's shape, is
-    overwritten. `views` holds the `_mixer_views` of rows first..stop of the
-    block under the key (first, stop), and the `_split_views` of its one row
-    under "split"; those the call needs and does not find are built and
-    added, so one dict must serve only blocks that start on the same row of
-    the same arrays."""
+    overwritten. With `views`, `block` and `scratch` are the rows from row
+    `offset` on of an evaluator's working arrays, and `views` its dict of
+    view lists on them: the `_mixer_views` of rows first..stop under
+    (first, stop), and the `_split_views` of row r under r. Lists the call
+    needs and does not find are built and added; without `views`, each call
+    builds its own."""
     # One pass per qubit with the 2x2 kernel [[cos b, -i sin b], [-i sin b, cos b]]:
     # each pair (a, b) becomes c * (a, b) + s * (b, a), in three whole-block
     # ops. One scratch serves every pass; a fresh one per pass raised the
@@ -333,30 +342,27 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray, views: 
         # 8% slower (shared 2-CPU host, slower in 18 of 20 alternating pairs).
         c = np.array([math.cos(b) for b in betas], dtype=complex)[:, None, None, None]
         s = np.array([-1j * math.sin(b) for b in betas])[:, None, None, None]
-        _passes(_views(views, block, scratch, n, 0, len(block)), c, s)
+        _passes(_views(views, block, scratch, n, offset, 0, len(block)), c, s)
         return
-    # A beta of +-0 leaves every row as it is: at c = 1.0, s = -0j each pass
-    # only adds signed zeros. So its run of rows, or one row, is skipped.
     if not _split(block):
         # Each run of rows that share a beta, by Python scalars: numpy
         # multiplies by a scalar 1.7-2.4 times as fast as by a (rows, 1, 1,
         # 1) array.
         for first, stop, beta in _runs(betas):
-            if beta != 0.0:
-                run = _views(views, block, scratch, n, first, stop)
-                _passes(run, math.cos(beta), -1j * math.sin(beta))
+            run = _views(views, block, scratch, n, offset, first, stop)
+            _passes(run, math.cos(beta), -1j * math.sin(beta))
         return
     # The same operations on two disjoint halves of every pass of the one
     # row, one half on the helper thread, so each amplitude gets the same
     # bits as above. The last pass leaves each half with the thread that
     # gathers its next phases and squares its probabilities.
-    beta = float(betas[0])
-    if beta == 0.0:
-        return
-    c, s = math.cos(beta), -1j * math.sin(beta)
-    if "split" not in views:
-        views["split"] = _split_views(block, scratch, n)
-    stages, (low, high) = views["split"]
+    c, s = math.cos(betas[0]), -1j * math.sin(betas[0])
+    split = None if views is None else views.get(offset)
+    if split is None:
+        split = _split_views(block, scratch, n)
+        if views is not None:
+            views[offset] = split
+    stages, (low, high) = split
     for lows, highs in stages:
         _in_two(_passes, (lows, c, s), (highs, c, s))
     # Qubit n-1 reads each half's partner from the other half, so every
@@ -365,13 +371,16 @@ def _mixer_kernel(block: np.ndarray, betas, n: int, scratch: np.ndarray, views: 
     _in_two(_combine, (low[1], low[2], c), (high[1], high[2], c))
 
 
-def _views(views: dict, block: np.ndarray, scratch: np.ndarray, n: int, first: int, stop: int):
-    """views[(first, stop)], the `_mixer_views` of rows first..stop of
-    `block`, built on first use."""
-    key = (first, stop)
-    got = views.get(key)
+def _views(views, block, scratch, n: int, offset: int, first: int, stop: int) -> list[tuple]:
+    """The `_mixer_views` of rows first..stop of `block`, which starts on row
+    `offset` of the arrays `views` serves (see `_mixer_kernel`): kept under
+    (offset + first, offset + stop), built on first use."""
+    key = (offset + first, offset + stop)
+    got = None if views is None else views.get(key)
     if got is None:
-        got = views[key] = _mixer_views(block[first:stop], scratch[first:stop], n)
+        got = _mixer_views(block[first:stop], scratch[first:stop], n)
+        if views is not None:
+            views[key] = got
     return got
 
 
@@ -403,10 +412,11 @@ _PROBE_BLOCK_BYTES = 1 << 20
 # series read 1.01-1.10 at n = 12, so the lanes start at n = 13.
 _LANE_MIN_AMPLITUDES = 1 << 12
 
-# The bits of a float64 but its sign, as an int64, and those of infinity: a
-# larger magnitude is a NaN.
-_MAGNITUDE = (1 << 63) - 1
-_INFINITY = 0x7FF0000000000000
+# The most mixer view lists an evaluator keeps from one stack to the next; it
+# drops them all when it has more. A list takes 5.5 KiB at n = 10, where the
+# row ranges of a 64-row block could make 2,080 of them (11 MiB); the
+# desk-n10 benchmark keeps at most 37 per evaluator.
+_MAX_VIEW_LISTS = 64
 
 
 class ExpectationEvaluator:
@@ -442,8 +452,8 @@ class ExpectationEvaluator:
     the deepest p seen, 56 MiB at n = 20, p = 8. Calls read and write these
     and the evaluator's working arrays, so an evaluator must not be shared
     between threads. The views of the mixer's passes on those arrays are
-    kept per range of rows, built on first use and dropped when the arrays
-    grow (see the module docstring).
+    kept, one list per range of rows, built on first use and dropped when
+    the arrays grow or too many are kept (see the module docstring).
     """
 
     def __init__(self, g: Graph):
@@ -468,40 +478,24 @@ class ExpectationEvaluator:
         # mmap threshold, and with it the cost of later allocations.
         self._states = np.empty((1, 1 << (g.n - 1)), dtype=complex)
         self._scratch = np.empty_like(self._states)
-        # The mixer's views of the rows of these arrays: for each first row of
-        # a block, the `views` dict of `_mixer_kernel`. Dropped when the
-        # arrays grow.
-        self._views: dict[int, dict] = {}
+        # The mixer's view lists on the rows of these arrays, keyed by row
+        # range (see `_mixer_kernel`). Dropped when the arrays grow or when
+        # more than _MAX_VIEW_LISTS are kept.
+        self._views: dict = {}
         # The values of the last stack computed with values, keyed by the
         # bytes of their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
 
     @staticmethod
-    def _shared_layers(angles: np.ndarray, reference: np.ndarray):
+    def _shared_layers(angles: np.ndarray, reference: np.ndarray) -> np.ndarray:
         """How many leading layers of the (gammas, betas) array `angles`, or
         of each array of a stack of them, are bit-equal to those of the
         (gammas, betas) array `reference`: at most one fewer than either
-        depth. A layer with a NaN angle is never shared."""
-        if angles.ndim == 3:
-            m = min(angles.shape[-1], reference.shape[1]) - 1
-            new, old = angles[..., :m], reference[:, :m]
-            same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
-            return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
-        # One array by Python ints: ten numpy calls on a handful of angles
-        # took 6-12 us, a tenth of a one-row evaluation at n = 10.
-        (gammas, betas), (old_gammas, old_betas) = (
-            a.view(np.int64).tolist() for a in (angles, reference)
-        )
-        j, m = 0, min(len(gammas), len(old_gammas)) - 1
-        while (
-            j < m
-            and gammas[j] == old_gammas[j]
-            and betas[j] == old_betas[j]
-            and gammas[j] & _MAGNITUDE <= _INFINITY
-            and betas[j] & _MAGNITUDE <= _INFINITY
-        ):
-            j += 1
-        return j
+        depth."""
+        m = min(angles.shape[-1], reference.shape[1]) - 1
+        new, old = angles[..., :m], reference[:, :m]
+        same = ((new.view(np.int64) == old.view(np.int64)) & (new == new)).all(axis=-2)
+        return np.logical_and.accumulate(same, axis=-1).sum(axis=-1)
 
     def _advance(self, angles: np.ndarray, value: bool = True) -> None:
         """Run the (gammas, betas) arrays angles[r] of a (k >= 1, 2, p) stack
@@ -523,7 +517,7 @@ class ExpectationEvaluator:
         small = _LANE_MIN_AMPLITUDES <= row < _SPLIT_MIN_AMPLITUDES and len(distinct) > 2
         lanes = 2 if small and _cpus() >= 2 else 1
         head = angles[0].copy()
-        shared = [self._shared_layers(head, self._angles)]
+        shared = [int(self._shared_layers(head, self._angles))]
         # A lone point skips an empty comparison, 6 of its 120 us at n = 10.
         if len(angles) > 1:
             shared += self._shared_layers(angles[1:], head).tolist()
@@ -540,9 +534,11 @@ class ExpectationEvaluator:
             order.remove(0)
         # Lane l's blocks take the working arrays' rows from l * size on.
         size = max(1, min(_PROBE_BLOCK_BYTES // (32 * row), -(-len(order) // lanes)))
-        if lanes * size > len(self._states):
+        grow = lanes * size > len(self._states)
+        if grow:
             self._states = np.empty((lanes * size, row), dtype=complex)
             self._scratch = np.empty_like(self._states)
+        if grow or len(self._views) > _MAX_VIEW_LISTS:
             self._views = {}
         values = np.empty(len(angles))
 
@@ -579,7 +575,6 @@ class ExpectationEvaluator:
         the rows that start after it resume from them."""
         n, (rows, _, p) = self.graph.n, angles.shape
         states, scratch = self._states[offset:][:rows], self._scratch[offset:][:rows]
-        views = self._views.setdefault(offset, {})
         gammas, betas = angles.transpose(1, 2, 0)
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
@@ -599,7 +594,7 @@ class ExpectationEvaluator:
                 started = stop
                 block, work = states[:started], scratch[:started]
             _phase_kernel(block, self._cut_index, tables[j - first, :started], work if j else None)
-            _mixer_kernel(block, betas[j, :started], n, work, views)
+            _mixer_kernel(block, betas[j, :started], n, work, self._views, offset)
             if store <= j < p - 1:
                 np.copyto(self._after[j], block[stored])
         return states

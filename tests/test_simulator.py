@@ -62,7 +62,7 @@ def mixed(state: np.ndarray, beta: float) -> np.ndarray:
     # half; the complement of z is 2^n - 1 - z, so the state is a palindrome.
     assert np.array_equal(state, state[::-1]), "mixer input must be flip-symmetric"
     out = state[None, : state.size // 2].copy()
-    _mixer_kernel(out, [beta], state.size.bit_length() - 1, np.empty_like(out), {})
+    _mixer_kernel(out, [beta], state.size.bit_length() - 1, np.empty_like(out))
     return np.concatenate((out[0], out[0, ::-1]))
 
 
@@ -472,28 +472,6 @@ class TestPrefixReuse:
     """An evaluator resumes each call from the layers it shares with the last
     one; every result must equal a fresh evaluator's bit for bit."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_one_array_shares_the_layers_its_row_of_a_stack_shares(self, data):
-        # One array is counted by Python ints, a stack by numpy: the same
-        # rule, bit-equal (gamma_j, beta_j) pairs with no NaN, either way.
-        angle = st.sampled_from([0.0, -0.0, 0.3, 1.0, math.inf, math.nan, -math.nan])
-        p, q = data.draw(st.integers(1, 5), label="p"), data.draw(st.integers(1, 5), label="q")
-        reference = np.array(data.draw(st.lists(angle, min_size=2 * q, max_size=2 * q)))
-        reference = reference.reshape(2, q)
-        rows = []
-        for _ in range(data.draw(st.integers(1, 4), label="rows")):
-            row = reference[:, :p].tolist()
-            row = [side + [0.5] * (p - len(side)) for side in row]
-            for _ in range(data.draw(st.integers(0, 2), label="changes")):
-                side, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, p - 1))
-                row[side][j] = data.draw(angle)
-            rows.append(row)
-        stack = np.array(rows)
-        counts = ExpectationEvaluator._shared_layers(stack, reference).tolist()
-        assert [ExpectationEvaluator._shared_layers(a, reference) for a in stack] == counts
-        assert max(counts) <= min(p, q) - 1
-
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_call_sequences_match_a_fresh_evaluator(self, data):
@@ -568,9 +546,9 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def counting(state, beta, n, scratch, views):
+        def counting(state, beta, n, scratch, *rest):
             calls.append(beta)
-            kernel(state, beta, n, scratch, views)
+            kernel(state, beta, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         rng = np.random.default_rng(41)
@@ -600,9 +578,9 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def counting(state, beta, n, scratch, views):
+        def counting(state, beta, n, scratch, *rest):
             calls.append(beta)
-            kernel(state, beta, n, scratch, views)
+            kernel(state, beta, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
@@ -619,11 +597,11 @@ class TestPrefixReuse:
         kernel = simulator._mixer_kernel
         calls = []
 
-        def failing_second(state, beta, n, scratch, views):
+        def failing_second(state, beta, n, scratch, *rest):
             calls.append(beta)
             if len(calls) == 2:
                 raise MemoryError
-            kernel(state, beta, n, scratch, views)
+            kernel(state, beta, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", failing_second)
         with pytest.raises(MemoryError):
@@ -679,9 +657,9 @@ class TestAdvanceProbes:
         lanes = data.draw(st.booleans(), label="two lanes")
         kernel, threads = simulator._mixer_kernel, set()
 
-        def recording(block, betas, n, scratch, views):
+        def recording(block, betas, n, scratch, *rest):
             threads.add(threading.current_thread())
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         with pytest.MonkeyPatch.context() as patch:
             if lanes:
@@ -707,9 +685,9 @@ class TestAdvanceProbes:
         ev.expectation(Parameters.from_array(x))
         kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             blocks.append(len(block))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         advance_probes(ev, rows.reshape(len(rows), 2, p))
@@ -728,9 +706,9 @@ class TestAdvanceProbes:
         rows = probe_rows(x, lower, upper).reshape(-1, 2, 1)
         kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             blocks.append(len(block))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         for n, cpus in [(16, 1), (18, 2)]:
             monkeypatch.setattr(simulator, "_cpus", lambda cpus=cpus: cpus)
@@ -757,9 +735,9 @@ class TestAdvanceProbes:
         ev.expectation(Parameters.from_array(x))
         kernel, calls = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             calls.append(betas)
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         flat = stack.reshape(len(stack), -1)
@@ -833,9 +811,9 @@ class TestAdvanceProbes:
         for stack, row_layers in stacks:
             calls = []
 
-            def counting(block, betas, n, scratch, views):
+            def counting(block, betas, n, scratch, *rest):
                 calls.append(len(betas))
-                kernel(block, betas, n, scratch, views)
+                kernel(block, betas, n, scratch, *rest)
 
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_mixer_kernel", counting)
@@ -858,9 +836,9 @@ class TestAdvanceProbes:
         ev.expectation(Parameters.from_array(x))
         kernel, blocks = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             blocks.append(len(block))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         advance_probes(ev, rows.reshape(len(rows), 2, p))
@@ -884,9 +862,9 @@ class TestAdvanceProbes:
         objective(x)
         kernel, rows, one_row = simulator._mixer_kernel, [], []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             (rows if len(betas) > 1 else one_row).append(len(betas))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         unbounded = np.full(x.size, np.inf)
@@ -911,9 +889,9 @@ class TestAdvanceProbes:
         stack[:, 1] = np.array(column)[:, None]
         kernel, columns = simulator._mixer_kernel, []
 
-        def recording(block, betas, n, scratch, views):
+        def recording(block, betas, n, scratch, *rest):
             columns.append(np.array(betas).tobytes())
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         ev = ExpectationEvaluator(g)
         with monkeypatch.context() as patch:
@@ -928,8 +906,8 @@ class TestAdvanceProbes:
         block = rng.normal(size=(len(column), 1 << (n - 1))) + 0j
         one = block.copy()
         for row, beta in zip(one, column):
-            _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]), {})
-        _mixer_kernel(block, np.array(column), n, np.empty_like(block), {})
+            _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]))
+        _mixer_kernel(block, np.array(column), n, np.empty_like(block))
         assert block.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("lanes", [1, 2])
@@ -962,9 +940,9 @@ class TestAdvanceProbes:
         phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
         kernel, calls = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             calls.append(len(betas))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         fresh = ExpectationEvaluator(g).expectation(phi)
         with monkeypatch.context() as patch:
@@ -989,11 +967,11 @@ class TestAdvanceProbes:
         before = ev._after[1].copy()
         kernel = simulator._mixer_kernel
 
-        def failing(block, betas, n, scratch, views):
+        def failing(block, betas, n, scratch, *rest):
             # Once row 0 has stored its state after layer 2, not yet after 3.
             if not np.array_equal(ev._after[1], before):
                 raise MemoryError
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_mixer_kernel", failing)
@@ -1025,7 +1003,7 @@ class TestAdvanceProbes:
         assert len(ev._kept) == len(rows)
         kernel, calls, written, caller = simulator._mixer_kernel, [], [], threading.current_thread()
 
-        def failing_second(block, betas, n, scratch, views):
+        def failing_second(block, betas, n, scratch, *rest):
             lane = "caller lane" if threading.current_thread() is caller else "helper lane"
             if failing in ("one lane", lane):
                 calls.append(betas)
@@ -1033,7 +1011,7 @@ class TestAdvanceProbes:
                     raise MemoryError
             elif lane == "helper lane":
                 time.sleep(0.02)  # still writing, should the caller not wait
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
             written.append(lane)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", failing_second)
@@ -1050,9 +1028,9 @@ class TestAdvanceProbes:
         fresh = ExpectationEvaluator(g).expectation(phi)
         one_row = []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             one_row.append(betas)
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         assert ev.expectation(phi).hex() == fresh.hex()
@@ -1117,9 +1095,9 @@ class TestAdvanceProbes:
         ev = ExpectationEvaluator(g)
         kernel, calls = simulator._mixer_kernel, []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             calls.append(len(betas))
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_mixer_kernel", counting)
@@ -1185,10 +1163,10 @@ class TestSplitMixer:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_cpus", lambda: 1)
             for row, beta in zip(one, betas):
-                _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]), {})
+                _mixer_kernel(row[None], [beta], n, np.empty_like(row[None]))
             patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             patch.setattr(simulator, "_cpus", lambda: 2)
-            _mixer_kernel(split, betas, n, np.empty_like(split), {})
+            _mixer_kernel(split, betas, n, np.empty_like(split))
         assert split.tobytes() == one.tobytes()
 
     # Not n = 1, whose one amplitude has no halves, nor n = 2: its halves are
@@ -1277,7 +1255,7 @@ class TestSplitMixer:
             for y in rows
         }
         state = plus_state(6)[None, :32]
-        _mixer_kernel(state, [0.3], 6, np.empty_like(state), {})
+        _mixer_kernel(state, [0.3], 6, np.empty_like(state))
         six, phi = gen_erdos_renyi(6, 0.5, 2), Parameters(gammas=(0.7, 0.1), betas=(0.2, 0.9))
         value = ExpectationEvaluator(six).expectation(phi)
         assert simulator._helper is not None
@@ -1286,7 +1264,7 @@ class TestSplitMixer:
             code = 1
             try:
                 advance_probes(ev, rows)
-                _mixer_kernel(state, [0.3], 6, np.empty_like(state), {})
+                _mixer_kernel(state, [0.3], 6, np.empty_like(state))
                 same = ExpectationEvaluator(six).expectation(phi) == value
                 code = 0 if ev._kept == expected and same else 2
             finally:
@@ -1329,7 +1307,7 @@ class TestSplitMixer:
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_cpus", lambda: 1)
                 for beta in (0.4, 1.1, 2.5):
-                    _mixer_kernel(one, [beta], 9, np.empty_like(one), {})
+                    _mixer_kernel(one, [beta], 9, np.empty_like(one))
                 ev = ExpectationEvaluator(g)
                 ev.expectation(Parameters.from_array(x))
                 advance_probes(ev, rows)
@@ -1340,7 +1318,7 @@ class TestSplitMixer:
         def caller(i):
             state = starts[i].copy()
             for beta in (0.4, 1.1, 2.5):
-                _mixer_kernel(state, [beta], 9, np.empty_like(state), {})
+                _mixer_kernel(state, [beta], 9, np.empty_like(state))
             ev = ExpectationEvaluator(g)
             ev.expectation(Parameters.from_array(points[i]))
             advance_probes(ev, probes[i])
@@ -1369,7 +1347,7 @@ class TestSplitMixer:
             patch.setattr(simulator, "_SPLIT_MIN_AMPLITUDES", 1)
             patch.setattr(simulator, "_cpus", lambda: 1)
             state = plus_state(6)[None, :32]
-            _mixer_kernel(state, [0.3], 6, np.empty_like(state), {})
+            _mixer_kernel(state, [0.3], 6, np.empty_like(state))
         assert simulator._helper is None
         assert threading.active_count() == threads
         # Nor does advance_probes: on one CPU at n = 13, and at n = 12, where
@@ -1425,20 +1403,18 @@ class TestTiledMixer:
             block = start.copy()[None]
             with monkeypatch.context() as patch:
                 patch.setattr(simulator, "_passes", recorded)
-                _mixer_kernel(block, [beta], n, np.empty_like(block), {})
+                _mixer_kernel(block, [beta], n, np.empty_like(block))
             assert block.tobytes() == expected.tobytes()
-        # Each tile got the passes of qubits 0..14 at the two betas that are
-        # not +-0, which skip the mixer, and every other pass ran on a whole
-        # row or half.
+        # Each tile got the passes of qubits 0..14, and every other pass ran
+        # on a whole row or half.
         tile = 1 << simulator._TILE_QUBITS
-        assert sizes.count(tile) == 2 * (size // tile) * simulator._TILE_QUBITS
+        assert sizes.count(tile) == 4 * (size // tile) * simulator._TILE_QUBITS
         assert min(x for x in sizes if x != tile) > tile
 
 
 class TestPassViews:
     """The evaluator builds the views of each mixer pass once per row range
-    of its working arrays, and drops them when the arrays grow; a beta of
-    +-0 runs no pass."""
+    of its working arrays, and drops them when the arrays grow."""
 
     @pytest.mark.parametrize("n", [10, 14, 18])
     def test_views_are_dropped_when_the_arrays_grow(self, n):
@@ -1462,32 +1438,24 @@ class TestPassViews:
                 assert ev.expectation(phi).hex() == expected.hex()
         assert (len(ev._states) > 1) == (n < 16)
 
-    @pytest.mark.parametrize("n", [10, 18])
-    @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_a_zero_beta_pass_leaves_every_amplitude_as_it_is(self, n, zero, monkeypatch):
-        # c = 1.0, s = -1j * +-0.0: each pass only adds signed zeros, so
-        # skipping the mixer at a beta of +-0 changes no value.
-        rng = np.random.default_rng(n)
-        size = 1 << (n - 1)
-        half = rng.normal(size=size) + 1j * rng.normal(size=size)
-        c, s = math.cos(zero), -1j * math.sin(zero)
-        assert c == 1.0 and s == 0
-        block, scratch = half.copy()[None], np.empty((1, size), dtype=complex)
-        stages, last = simulator._split_views(block, scratch, n)
-        split = [view for low, high in stages for view in low + high] + list(last)
-        for views in (simulator._mixer_views(block, scratch, n), split):
-            for one in views:
-                simulator._passes([one], c, s)
-                assert np.array_equal(block[0], half)
-        # The kernel runs no pass at all, on one thread or split.
-        passes, ran = simulator._passes, []
-        monkeypatch.setattr(simulator, "_passes", lambda *a: ran.append(a) or passes(*a))
-        for cpus in (1, 2):
-            monkeypatch.setattr(simulator, "_cpus", lambda cpus=cpus: cpus)
-            block, views = half.copy()[None], {}
-            _mixer_kernel(block, [zero], n, scratch, views)
-            assert block.tobytes() == half.tobytes()
-            assert ran == [] and views == {}
+    def test_view_lists_beyond_the_bound_are_dropped(self, monkeypatch):
+        # Each stack of rows with distinct betas keeps one list per row and
+        # per block prefix; with room for two, the next stack starts afresh.
+        monkeypatch.setattr(simulator, "_MAX_VIEW_LISTS", 2)
+        g = gen_random_regular(10, 3, 2)
+        rng = np.random.default_rng(5)
+        ev = ExpectationEvaluator(g)
+        for _ in range(3):
+            before = ev._views
+            stack = rng.uniform(0.0, 1.0, (6, 2, 2))
+            advance_probes(ev, stack)
+            assert len(ev._views) > 2
+            assert ev._views is not before
+            for y in stack:
+                phi = Parameters(gammas=tuple(y[0]), betas=tuple(y[1]))
+                expected = ExpectationEvaluator(g).expectation(phi)
+                assert ev.expectation(phi).hex() == expected.hex()
+
 
 class TestWorkArrays:
     """A warm evaluator computes into its own working states and scratch,

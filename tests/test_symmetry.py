@@ -301,12 +301,12 @@ class TestNonAdiabaticProgression:
         kernel = simulator._mixer_kernel
         row_layers, one_row = [], []
 
-        def counting(block, betas, n, scratch, views):
+        def counting(block, betas, n, scratch, *rest):
             if len(betas) > 1:
                 row_layers.append(len(betas))
             else:
                 one_row.append(betas[0])
-            kernel(block, betas, n, scratch, views)
+            kernel(block, betas, n, scratch, *rest)
 
         monkeypatch.setattr(simulator, "_mixer_kernel", counting)
         non_adiabatic_progression(gen_random_regular(8, 3, 3), max_depth=1)
