@@ -75,8 +75,10 @@ from __future__ import annotations
 import bisect
 import math
 import os
+import struct
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,8 +179,8 @@ class Parameters:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gammas", tuple(float(x) for x in self.gammas))
-        object.__setattr__(self, "betas", tuple(float(x) for x in self.betas))
+        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        object.__setattr__(self, "betas", tuple(map(float, self.betas)))
         if len(self.gammas) != len(self.betas):
             raise ValueError(
                 f"gammas and betas must have equal length, "
@@ -200,16 +202,22 @@ class Parameters:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size % 2 != 0:
             raise ValueError(f"flat parameter array must have even length, got shape {x.shape}")
-        p = x.size // 2
-        values = x.tolist()
-        return cls(gammas=tuple(values[:p]), betas=tuple(values[p:]))
+        if not x.size:
+            raise ValueError("depth must be >= 1")
+        # The checks of __post_init__ hold, and tolist() gives floats: set
+        # the fields as they are.
+        p, values = x.size // 2, x.tolist()
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "gammas", tuple(values[:p]))
+        object.__setattr__(phi, "betas", tuple(values[p:]))
+        return phi
 
 
-def _phase_table(gamma, c_max: int) -> np.ndarray:
-    """exp(-i * gamma * c) for each cut value c = 0..c_max, along the last
-    axis, so the phase is computed once per distinct value; `gamma` may be
-    an array of angles."""
-    return np.exp(np.multiply.outer(-1j * gamma, np.arange(c_max + 1.0)))
+def _phase_table(gamma, ramp: np.ndarray) -> np.ndarray:
+    """exp(-i * gamma * c) for each cut value c of `ramp`, the floats
+    0..c_max, along the last axis, so the phase is computed once per
+    distinct value; `gamma` may be an array of angles."""
+    return np.exp(np.multiply.outer(-1j * gamma, ramp))
 
 
 def _phase(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out) -> None:
@@ -239,13 +247,16 @@ def _phase_kernel(state: np.ndarray, cuts: np.ndarray, table: np.ndarray, out) -
 
 
 def _pass_views(block: np.ndarray, scratch: np.ndarray, qubits: int) -> list[tuple]:
-    """(partner, view, swapped) for the pass on each of the qubits
+    """(partner, into, view, swapped) for the pass on each of the qubits
     0..qubits-1 of each row of `block`, in order: `view` pairs amplitudes
     2^q apart as (view[..., 0, j], view[..., 1, j]), `partner` is the view
-    with each pair swapped, and `swapped` the view's place in `scratch`. In
-    rows longer than a tile, the qubits below _TILE_QUBITS pair amplitudes
-    within one tile, and run one tile at a time; the others run over the
-    whole rows."""
+    with each pair swapped, `swapped` the view's place in `scratch`, and
+    `into` the same place in the layout of `partner`. On qubits 0 and 1,
+    `partner` and `into` put the pair index before the pairs, so a multiply
+    in C order runs one long inner loop per row and pair index, not one of
+    2 or 4 amplitudes per pair. In rows longer than a tile, the qubits
+    below _TILE_QUBITS pair amplitudes within one tile, and run one tile at
+    a time; the others run over the whole rows."""
     views, low, tile = [], 0, 1 << _TILE_QUBITS
     if block.shape[-1] > tile:
         low = min(qubits, _TILE_QUBITS)
@@ -254,8 +265,11 @@ def _pass_views(block: np.ndarray, scratch: np.ndarray, qubits: int) -> list[tup
             views += _pass_views(block[part], scratch[part], low)
     for q in range(low, qubits):
         shape = (len(block), -1, 2, 1 << q)
-        view = block.reshape(shape)
-        views.append((view[..., ::-1, :], view, scratch.reshape(shape)))
+        view, swapped = block.reshape(shape), scratch.reshape(shape)
+        partner, into = view[..., ::-1, :], swapped
+        if q < 2:
+            partner, into = partner.transpose(0, 2, 3, 1), into.transpose(0, 2, 3, 1)
+        views.append((partner, into, view, swapped))
     return views
 
 
@@ -265,8 +279,8 @@ def _mixer_views(block: np.ndarray, scratch: np.ndarray, n: int) -> list[tuple]:
     z with z + 2^(n-1), whose amplitude is that of its complement
     2^(n-1) - 1 - z: the row reversed. Every view is 4-D, so per-row
     coefficients of shape (rows, 1, 1, 1) broadcast over each."""
-    rows = block[:, None, None]
-    return _pass_views(block, scratch, n - 1) + [(rows[..., ::-1], rows, scratch[:, None, None])]
+    rows, swapped = block[:, None, None], scratch[:, None, None]
+    return _pass_views(block, scratch, n - 1) + [(rows[..., ::-1], swapped, rows, swapped)]
 
 
 def _split_views(block: np.ndarray, scratch: np.ndarray, n: int) -> tuple:
@@ -283,7 +297,8 @@ def _split_views(block: np.ndarray, scratch: np.ndarray, n: int) -> tuple:
     k = m // 2
     view, swapped = block.reshape(2, m), scratch.reshape(2, m)
     across = tuple(
-        [(view[::-1, part], view[:, part], swapped[:, part])] for part in (np.s_[:k], np.s_[k:])
+        [(view[::-1, part], swapped[:, part], view[:, part], swapped[:, part])]
+        for part in (np.s_[:k], np.s_[k:])
     )
     reverse = block[:, ::-1]
     return [within, across], tuple((reverse[h], block[h], scratch[h]) for h in halves)
@@ -292,8 +307,8 @@ def _split_views(block: np.ndarray, scratch: np.ndarray, n: int) -> tuple:
 def _passes(views: list[tuple], c, s) -> None:
     """Each pass of `views` from `_pass_views`: every pair (a, b) becomes
     c * (a, b) + s * (b, a), its swapped image overwritten first."""
-    for partner, view, swapped in views:
-        np.multiply(partner, s, out=swapped)
+    for partner, into, view, swapped in views:
+        np.multiply(partner, s, out=into, order="C")
         view *= c
         view += swapped
 
@@ -384,12 +399,15 @@ def _views(views, block, scratch, n: int, offset: int, first: int, stop: int) ->
     return got
 
 
-def _probabilities(half: np.ndarray, low: np.ndarray, mirror: np.ndarray) -> None:
-    """|amplitude|^2 of each element of `half` into `low`, and the same
-    reversed into `mirror`, of the same size."""
-    np.square(half.real, out=low)
-    low += np.square(half.imag, out=mirror)
-    np.copyto(mirror, low[::-1])
+def _probabilities(states: np.ndarray, low: np.ndarray, mirror: np.ndarray) -> None:
+    """|amplitude|^2 of each element of `states`, one row or a block of
+    rows, into `low`, and each row of it reversed into the row of `mirror`,
+    all of one shape."""
+    np.square(states.real, out=low)
+    low += np.square(states.imag, out=mirror)
+    # A ufunc, not np.copyto: between rows of one array that interleave,
+    # np.copyto cannot rule out overlap and copies its source first.
+    np.positive(low[..., ::-1], out=mirror)
 
 
 # The states of one block of rows of one lane of `advance_probes`, with the
@@ -486,6 +504,12 @@ class ExpectationEvaluator:
         # bytes of their (gammas, betas) array.
         self._kept: dict[bytes, float] = {}
 
+    @cached_property
+    def _ramp(self) -> np.ndarray:
+        """The cut values 0..c_max as floats, for `_phase_table`; made on the
+        first evaluation, not in set-up."""
+        return np.arange(self.c_max + 1.0)
+
     @staticmethod
     def _shared_layers(angles: np.ndarray, reference: np.ndarray) -> np.ndarray:
         """How many leading layers of the (gammas, betas) array `angles`, or
@@ -549,8 +573,7 @@ class ExpectationEvaluator:
                 starts = [shared[r] for r in block]
                 states = self._layers(angles.take(block, axis=0), starts, stored, offset)
                 if value:
-                    # One 1-D product per row: a matrix product rounds differently.
-                    values.put(block, [self._value(state, offset) for state in states])
+                    values.put(block, self._values(states, offset))
 
         if lanes == 2:
             run([0], 0)
@@ -578,7 +601,7 @@ class ExpectationEvaluator:
         gammas, betas = angles.transpose(1, 2, 0)
         # The phases of every layer at once: one table per layer and row.
         first = starts[0]
-        tables = _phase_table(gammas[first:], self.c_max)
+        tables = _phase_table(gammas[first:], self._ramp)
         if first == 0:
             # |+>^n's amplitude times each phase: the products of a fill and
             # a phase kernel, bit for bit, from one gather of the scaled table.
@@ -613,27 +636,39 @@ class ExpectationEvaluator:
         """Mean cut value of the ansatz state: sum_z |amp(z)|^2 * cut(z); a
         kept value at bit-equal angles is returned as it is, and otherwise
         the point runs as a one-row stack (see the class docstring)."""
-        angles = np.array((phi.gammas, phi.betas))
-        key = angles.tobytes()
+        # The bytes of np.array((phi.gammas, phi.betas)), without the array.
+        key = struct.pack(f"{2 * len(phi.gammas)}d", *phi.gammas, *phi.betas)
         if key not in self._kept:
-            self._advance(angles[None])
+            self._advance(np.array((phi.gammas, phi.betas))[None])
         return self._kept[key]
 
-    def _value(self, half: np.ndarray, offset: int) -> float:
-        """The expectation of the state whose low half is `half`."""
-        # The full probability vector, the low half then its reverse, in
-        # scratch row `offset`, and summed in index order: 2 * (low half @
-        # low cuts) would round differently and move the optimizer's path.
-        probs = self._scratch[offset].view(np.float64)
-        low, high = probs[: half.size], probs[half.size :]
-        if _split(half):
+    def _values(self, states: np.ndarray, offset: int) -> list[float]:
+        """The expectations of the states whose low halves are the rows of
+        `states`, the working states' rows from row `offset` on."""
+        # Each row's full probability vector, the low half then its reverse,
+        # in the scratch row of its state, all squared in one pass, and each
+        # summed in index order: 2 * (low half @ low cuts) would round
+        # differently and move the optimizer's path.
+        probs = self._scratch[offset:][: len(states)].view(np.float64)
+        size = states.shape[1]
+        low, high = probs[:, :size], probs[:, size:]
+        if _split(states):
             # Each thread squares its half of the low half, and mirrors it
             # into the high half's other end; the dot product stays whole,
             # as a split one would sum in another order.
-            m = half.size // 2
-            _in_two(_probabilities, (half[:m], low[:m], high[m:]), (half[m:], low[m:], high[:m]))
+            m = size // 2
+            _in_two(
+                _probabilities,
+                (states[:, :m], low[:, :m], high[:, m:]),
+                (states[:, m:], low[:, m:], high[:, :m]),
+            )
         else:
-            _probabilities(half, low, high)
+            _probabilities(states, low, high)
+        return [self._value(row) for row in probs]
+
+    def _value(self, probs: np.ndarray) -> float:
+        """The expectation from the full probability vector `probs`: one 1-D
+        product per row, as a matrix product rounds differently."""
         return float(probs @ self._cuts)
 
 

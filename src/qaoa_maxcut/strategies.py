@@ -133,8 +133,7 @@ def _objective(
 
     def prefetch(angles: np.ndarray) -> None:
         if frozen is not None:
-            front = np.array((frozen.gammas, frozen.betas))
-            front = np.broadcast_to(front, (len(angles), *front.shape))
+            front = np.array((frozen.gammas, frozen.betas))[None].repeat(len(angles), axis=0)
             angles = np.concatenate((front, angles), axis=2)
         advance_probes(evaluator, angles)
 

@@ -211,9 +211,9 @@ class TestLandscape:
 
         value, calls = ExpectationEvaluator._value, []
 
-        def every_second_nan(ev, half, offset):
+        def every_second_nan(ev, probs):
             calls.append(None)
-            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+            return math.nan if len(calls) % 2 == 0 else value(ev, probs)
 
         monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
         out = tmp_path / "l.csv"
@@ -241,9 +241,9 @@ class TestVerify:
 
         value, calls = ExpectationEvaluator._value, []
 
-        def every_second_nan(ev, half, offset):
+        def every_second_nan(ev, probs):
             calls.append(None)
-            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+            return math.nan if len(calls) % 2 == 0 else value(ev, probs)
 
         def refuse(constant):
             raise ValueError(f"not JSON: {constant}")

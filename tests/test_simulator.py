@@ -53,7 +53,7 @@ def plus_state(n: int) -> np.ndarray:
 def phased(state: np.ndarray, g: Graph, gamma: float) -> np.ndarray:
     out = state.copy()
     cuts = cut_table(g).astype(np.intp)
-    _phase_kernel(out, cuts, _phase_table(gamma, int(cuts.max())), np.empty_like(out))
+    _phase_kernel(out, cuts, _phase_table(gamma, np.arange(cuts.max() + 1.0)), np.empty_like(out))
     return out
 
 
@@ -162,6 +162,51 @@ class TestParameters:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="depth"):
             Parameters(gammas=(), betas=())
+
+    @pytest.mark.parametrize(
+        "x,match",
+        [(np.empty(0), "depth"), (np.zeros(3), "even length"), (np.zeros((2, 2)), "even length")],
+    )
+    def test_from_array_rejects_an_empty_odd_or_2d_array(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            Parameters.from_array(x)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_from_array_equals_the_constructor(self, half):
+        # from_array sets its fields without __post_init__: the result must
+        # be the constructor's, field for field, by == and by hash.
+        x = np.array(half + half[::-1])
+        p = len(half)
+        phi = Parameters.from_array(x)
+        built = Parameters(gammas=tuple(x[:p]), betas=tuple(x[p:]))
+        assert type(phi.gammas[0]) is float and type(built.gammas[0]) is float
+        assert np.array(phi.gammas + phi.betas).tobytes() == x.tobytes()
+        assert np.array(built.gammas + built.betas).tobytes() == x.tobytes()
+        if not np.isnan(x).any():  # NaN != NaN, by == on tuples too
+            assert phi == built and hash(phi) == hash(built)
+
+    @pytest.mark.parametrize("odd", [-0.0, math.nan, -math.nan])
+    def test_expectation_finds_each_kept_row_by_its_bytes(self, odd, monkeypatch):
+        # The key expectation builds for a point equals the bytes _advance
+        # keeps for its row: each kept row is found without a computation,
+        # and -0.0 or a NaN of another sign is another point.
+        rows = np.array([[[0.3, 0.2], [0.5, 0.1]], [[0.3, odd], [0.5, 0.1]], [[odd, 0.2], [odd, 0.1]]])
+        ev = ExpectationEvaluator(K3)
+        advance_probes(ev, rows)
+        kept = dict(ev._kept)
+        assert list(kept) == [row.tobytes() for row in rows]
+        with monkeypatch.context() as patch:
+            patch.setattr(ExpectationEvaluator, "_advance", None)
+            for row in rows:
+                value = ev.expectation(Parameters.from_array(row.ravel()))
+                assert value is kept[row.tobytes()]
+        other = rows[1].copy()
+        other[0, 1] = 0.0 if odd == 0 else -odd
+        assert ev.expectation(Parameters.from_array(other.ravel())).hex() == ExpectationEvaluator(
+            K3
+        ).expectation(Parameters.from_array(other.ravel())).hex()
+        assert other.tobytes() not in kept
 
 
 class TestInitialState:
@@ -1386,7 +1431,7 @@ class TestTiledMixer:
             view += swapped
 
         def recorded(views, c, s):
-            sizes.extend(view.size for _, view, _ in views)
+            sizes.extend(view.size for _, _, view, _ in views)
             passes(views, c, s)
 
         for beta in (0.3, -1.7, 0.0, -0.0):

@@ -247,9 +247,9 @@ class TestSuite:
     def test_a_nan_deviation_is_reported(self, monkeypatch):
         value, calls = ExpectationEvaluator._value, []
 
-        def every_second_nan(ev, half, offset):
+        def every_second_nan(ev, probs):
             calls.append(None)
-            return math.nan if len(calls) % 2 == 0 else value(ev, half, offset)
+            return math.nan if len(calls) % 2 == 0 else value(ev, probs)
 
         monkeypatch.setattr(ExpectationEvaluator, "_value", every_second_nan)
         reports = run_symmetry_suite(samples=10, seed=0)
@@ -260,9 +260,9 @@ class TestSuite:
         # F(phi) and the pi-shifted image are numbers, the point image NaN.
         value, calls = ExpectationEvaluator._value, []
 
-        def third_nan(ev, half, offset):
+        def third_nan(ev, probs):
             calls.append(None)
-            return math.nan if len(calls) == 3 else value(ev, half, offset)
+            return math.nan if len(calls) == 3 else value(ev, probs)
 
         monkeypatch.setattr(ExpectationEvaluator, "_value", third_nan)
         phi = random_phi(np.random.default_rng(5), 2)
@@ -321,9 +321,9 @@ class TestNonAdiabaticProgression:
         # stationary point, as the branch start; with a NaN fifth, it ran on.
         value, calls = ExpectationEvaluator._value, []
 
-        def nan_once(ev, half, offset):
+        def nan_once(ev, probs):
             calls.append(None)
-            return math.nan if len(calls) == call else value(ev, half, offset)
+            return math.nan if len(calls) == call else value(ev, probs)
 
         monkeypatch.setattr(ExpectationEvaluator, "_value", nan_once)
         betas = np.linspace(0.0, math.pi / 2, 24, endpoint=False)
