@@ -25,7 +25,8 @@ __all__ = [
 # 2^24 basis states is the largest enumeration we allow for the exact solver.
 BRUTE_FORCE_MAX_VERTICES = 24
 
-# Restarts for the pairing-model regular generator before giving up.
+# Restarts of each regular-graph sampler, the pairing model and then Steger
+# and Wormald's, before giving up.
 _REGULAR_MAX_TRIES = 2000
 
 
@@ -105,11 +106,13 @@ def _check_regular(n: int, d: int) -> None:
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Sample a simple d-regular graph on n vertices (pairing model with restarts).
+    """Sample a simple d-regular graph on n vertices: the pairing model with
+    restarts, then, should all of its tries fail, Steger and Wormald's
+    sampler on the same generator.
 
     Deterministic for a fixed seed. Raises ValueError when no d-regular graph
-    exists (see `_check_regular`), and RuntimeError when the pairing model
-    finds none in its tries.
+    exists (see `_check_regular`), and RuntimeError when neither sampler
+    finds one in its tries.
     """
     _require_count("seed", seed, 0)
     _check_regular(n, d)
@@ -131,7 +134,39 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(e)
         if ok:
             return Graph(n=n, edges=tuple(edges))
+    # The pairing model succeeds with probability about exp((1 - d^2) / 4),
+    # so for d >= 6 or so its tries all fail; Steger and Wormald's sampler
+    # rejects only the one pair it draws, not the whole pairing.
+    for _ in range(_REGULAR_MAX_TRIES):
+        edges = _steger_wormald(n, d, rng)
+        if edges is not None:
+            return Graph(n=n, edges=edges)
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} vertices")
+
+
+def _steger_wormald(n: int, d: int, rng: np.random.Generator) -> tuple | None:
+    """One run of Steger & Wormald's sampler (Combin. Probab. Comput. 8,
+    1999): draw two unpaired stubs at a time, pair them when they join two
+    vertices not yet adjacent, and stop when every stub is paired. The
+    edges, or None when the stubs left allow no such pair."""
+    free = [v for v in range(n) for _ in range(d)]
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    edges = []
+    while free:
+        i, j = (int(k) for k in rng.integers(len(free), size=2))
+        u, v = free[i], free[j]
+        if u != v and v not in adjacent[u]:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+            edges.append((u, v))
+            for k in sorted((i, j), reverse=True):
+                free[k] = free[-1]
+                free.pop()
+            continue
+        left = set(free)
+        if not any(w not in adjacent[t] for t in left for w in left if w != t):
+            return None
+    return tuple(edges)
 
 
 def _check_prob(prob: float) -> None:

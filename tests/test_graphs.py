@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaoa_maxcut import graphs
 from qaoa_maxcut.graphs import (
     Graph,
     GraphClass,
@@ -107,6 +109,43 @@ class TestRegularGenerator:
     def test_classify_matches_parity(self, d, expected):
         for seed in range(3):
             assert classify(gen_random_regular(10, d, seed)) is expected
+
+    @pytest.mark.parametrize("n,d", [(16, 6), (20, 7), (20, 9), (12, 5)])
+    def test_specs_beyond_the_pairing_model_generate_on_every_seed(self, n, d):
+        # The pairing model's tries all fail on most of these seeds; Steger
+        # and Wormald's sampler then finds one.
+        for seed in range(5):
+            g = gen_random_regular(n, d, seed)
+            assert g.degrees() == [d] * n
+            assert g == gen_random_regular(n, d, seed)
+
+    def test_graphs_the_pairing_model_finds_are_unchanged(self):
+        # sha256 over every graph with n <= 20, d <= 5 and seeds 0-4 that
+        # the pairing model found before the fallback sampler was added;
+        # the five it did not find are left out.
+        missed = {(6, 5, 3), (8, 5, 4), (10, 5, 1), (12, 5, 1), (14, 5, 0)}
+        h = hashlib.sha256()
+        for n in range(1, 21):
+            for d in range(min(n, 6)):
+                for seed in range(5):
+                    if n * d % 2 == 0 and (n, d, seed) not in missed:
+                        g = gen_random_regular(n, d, seed)
+                        h.update(repr((n, d, seed, g.edges)).encode())
+        assert h.hexdigest() == "c89c7ea6faf47c5de7225b455e079a277727179930f86c6d347c608ff6e64077"
+
+    def test_a_stuck_run_of_the_fallback_sampler_returns_none(self):
+        # On 8 vertices of degree 6, a run often leaves stubs on vertices
+        # already adjacent; every other run gives a simple 6-regular graph.
+        rng = np.random.default_rng(0)
+        runs = [graphs._steger_wormald(8, 6, rng) for _ in range(40)]
+        assert any(edges is None for edges in runs)
+        for edges in (e for e in runs if e is not None):
+            assert Graph(n=8, edges=edges).degrees() == [6] * 8
+
+    def test_no_graph_in_either_samplers_tries_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_REGULAR_MAX_TRIES", 0)
+        with pytest.raises(RuntimeError, match="failed to sample a simple 3-regular graph on 8"):
+            gen_random_regular(8, 3, 0)
 
 
 class TestErdosRenyi:
