@@ -28,6 +28,14 @@ larger share of its operations and no more runs than the parent. `--traced
 WORKLOAD` adds one traced run per side, whose per-layer metrics show where a
 change acts. The change is HEAD; each run lasts `bench/run.py`'s own default
 time.
+
+Each run also records its set-up scale, scaled `setup_s` over unscaled: the
+host-speed probe taken right after set-up. That probe has a fast mode that
+follows the heap layout set-up leaves, so one side of a pair can read a
+false `setup_s` change of about +90%. Each series records
+`setup_probe_ratio`, the change's median scale over the parent's, and
+`setup_probe_mode_differs` when that ratio is above 1.5 or below 1/1.5; the
+summary printed at the end gives it beside the `setup_s` comparison.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ METRICS = (
     "run_s unscaled",
     "setup_s",
     "setup_s unscaled",
+    "setup_scale",
     "probe_s (host speed)",
     "nfev",
     "alpha_mean",
@@ -78,6 +87,9 @@ with tempfile.TemporaryDirectory() as work:
     got = wl.collect(inputs, wl.body(inputs))
 print(hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest())
 """
+# A series' set-up probe ran in another mode on the two sides when the ratio
+# of their median set-up scales leaves [1 / SETUP_PROBE_FLIP, SETUP_PROBE_FLIP].
+SETUP_PROBE_FLIP = 1.5
 # The thread pools bench/run.py pins for every measured process.
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
@@ -124,6 +136,9 @@ def _run(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
             match = re.match(rf"\s+{re.escape(name)}\s+(\S+)", line)
             if match:
                 run[name] = float(match.group(1))
+    scaled, unscaled = _value(run, "setup_s"), run.get("setup_s unscaled")
+    if scaled is not None and unscaled:
+        run["setup_scale"] = scaled / unscaled
     work = tree / ".bench_run" / workload
     run["outputs"] = {name: _digest(work / name) for name in OUTPUTS if (work / name).is_file()}
     return run
@@ -222,6 +237,8 @@ def _summary(runs: list[dict], collected: list[dict]) -> list[dict]:
             }
             for side, rs in sides.items()
         }
+        scale = metrics["setup_scale"]
+        ratio = scale and scale["change"]["median"] / scale["parent"]["median"]
         summary.append(
             {
                 "workload": workload,
@@ -231,9 +248,33 @@ def _summary(runs: list[dict], collected: list[dict]) -> list[dict]:
                 "operations": operations,
                 "identity": {side: _identity(rs) for side, rs in outputs.items()},
                 "identical": _identical(outputs["parent"] + outputs["change"]),
+                "setup_probe_ratio": ratio,
+                "setup_probe_mode_differs": None
+                if ratio is None
+                else not 1 / SETUP_PROBE_FLIP <= ratio <= SETUP_PROBE_FLIP,
             }
         )
     return summary
+
+
+def _setup_lines(summary: list[dict]) -> list[str]:
+    """Per series, the `setup_s` comparison, scaled and unscaled, beside the
+    set-up probe's ratio and flag."""
+    lines = []
+    for entry in summary:
+        parts = []
+        for metric in ("setup_s", "setup_s unscaled"):
+            m = entry["metrics"].get(metric)
+            if m:
+                parts.append(
+                    f"{metric} {m['parent']['median']:.3f} -> {m['change']['median']:.3f} s "
+                    f"({m['median_change_pct']:+.1f}%, won {m['pairs_won_by_change']}/{m['pairs']})"
+                )
+        if entry["setup_probe_ratio"] is not None:
+            flag = " MODE DIFFERS" if entry["setup_probe_mode_differs"] else ""
+            parts.append(f"setup probe ratio {entry['setup_probe_ratio']:.2f}{flag}")
+        lines.append(f"{entry['workload']} seed {entry['seed']}: " + "; ".join(parts))
+    return lines
 
 
 def _verdict(summary: list[dict], claim: str) -> dict:
@@ -370,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
                 out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    for line in _setup_lines(record["summary"]):
+        print(line)
     print(f"wrote {out}")
     return 0 if all(r["rc"] == 0 for r in record["runs"] + record["collected"]) else 1
 
